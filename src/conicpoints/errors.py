@@ -36,6 +36,10 @@ class NotFactorable(ConicError):
 
 
 class DivisorLimitExceeded(ConicError):
-    """Divisor enumeration was asked for a number above the configured cap."""
+    """Divisor enumeration was refused.
+
+    Either the number is above the configured cap, or one of its cofactors
+    was not split within the factoring budget; the message names which.
+    """
 
     code = "divisor-limit"

@@ -25,7 +25,7 @@ from .conic import (
     invariants_of,
     validate,
 )
-from .intmath import extended_gcd, gcd, positive_divisors
+from .intmath import extended_gcd, is_prime, positive_divisors
 
 
 class DivisorAssignment(NamedTuple):
@@ -236,35 +236,6 @@ def solve_homogeneous(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLi
     return line1, line2
 
 
-# Deterministic Miller-Rabin.  This witness set is exact for n < 3.3 * 10^24,
-# far beyond anything the divisor cap lets through.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def solve_difference_of_squares(
     l: int, m: int, j: int, *, divisor_cap: int | None = None
 ) -> SquareSplitResult:
@@ -295,7 +266,9 @@ def solve_difference_of_squares(
         if l == 1:
             return SquareSplitResult((LatticePoint(-1, 0), LatticePoint(1, 0)))
         return SquareSplitResult(())
-    if c > 2 and c % 2 and _is_prime(c):
+    # is_prime is exact only below psi_12; psi_12 itself, a strong
+    # pseudoprime, still takes the closed form and loses half its points.
+    if c > 2 and c % 2 and is_prime(c):
         if (c + 1) % (2 * l) == 0 and (c - 1) % (2 * m) == 0:
             px = (c + 1) // (2 * l)
             py = (c - 1) // (2 * m)

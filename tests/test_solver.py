@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from conicpoints import (
@@ -387,6 +390,23 @@ def test_square_difference_matches_general_solver():
         assert list(res.points) == solve_finite(conic, inv)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="psi_12 is a strong pseudoprime to bases 2..37, so is_prime sends "
+    "it down the odd-prime closed form, which finds 4 of the 8 points",
+)
+def test_square_difference_psi12():
+    p, q = 399165290221, 798330580441
+    psi12 = p * q
+    # x - y = s, x + y = psi12/s over the eight signed divisors s
+    expected = sorted(
+        LatticePoint((s + psi12 // s) // 2, (psi12 // s - s) // 2)
+        for d in (1, p, q, psi12)
+        for s in (d, -d)
+    )
+    assert list(solve_difference_of_squares(1, 1, -psi12).points) == expected
+
+
 def test_square_difference_rejections():
     with pytest.raises(ValueError, match="positive"):
         solve_difference_of_squares(0, 1, -3)
@@ -394,6 +414,44 @@ def test_square_difference_rejections():
         solve_difference_of_squares(1, -2, -3)
     with pytest.raises(ValueError, match="line pair"):
         solve_difference_of_squares(2, 3, 0)
+
+
+# ---------------------------------------------------------------------------
+# planted targets beyond the oracle's reach
+
+def _planted_target_conic(rng, target):
+    """A conic whose content-reduced target is ``target``.
+
+    alpha = 1 and gamma = (beta^2 - 1)/4 with beta odd give k = 1, both
+    factor forms have content 2, and the reduced forms have determinant
+    +-1, so every signed divisor of the target gives exactly one point.
+    """
+    beta = rng.choice([-1, 1]) * rng.randrange(3, 100, 2)
+    delta, epsilon = rng.randint(-50, 50), rng.randint(-50, 50)
+    m0 = 2 * epsilon - beta * delta
+    j = (delta * delta - m0 * m0 - 4 * target) // 4
+    return validate(1, beta, (beta * beta - 1) // 4, delta, epsilon, j)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {70000000000009: 1},
+        {8366609: 1, 8367641: 1},
+        {2: 46},
+        {2: 6, 3: 4, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1},
+    ],
+)
+def test_solve_planted_target_counts(factors):
+    rng = random.Random(5)
+    tau = math.prod(e + 1 for e in factors.values())
+    for sign in (1, -1):
+        target = sign * math.prod(p**e for p, e in factors.items())
+        conic, inv = _planted_target_conic(rng, target)
+        assert inv.big_i == 4 * target
+        points = solve(conic).points
+        assert len(set(points)) == len(points) == 2 * tau
+        assert all(conic.evaluate(x, y) == 0 for x, y in points)
 
 
 # ---------------------------------------------------------------------------
