@@ -90,6 +90,29 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# json.dumps with indent runs the pure-Python encoder, which dominates the
+# run time for point sets in the thousands.  The points are written from a
+# fixed template instead (decimal integers need no escaping, and "points"
+# is always a top-level key) into a slot that no decimal string or fixed
+# key can render as.
+_POINTS_SLOT = "\0points"
+_POINTS_SLOT_JSON = json.dumps(_POINTS_SLOT)
+_POINT_JSON = '    [\n      "%d",\n      "%d"\n    ]'
+
+
+def _finite_json(inv: Invariants, points, **extra) -> str:
+    """The "finite" document, byte for byte as _dump writes it with the points
+    as [["x", "y"], ...]."""
+    text = _dump(
+        {"kind": "finite", "invariants": _inv_block(inv), "points": _POINTS_SLOT, **extra}
+    )
+    if points:
+        block = "[\n" + ",\n".join([_POINT_JSON % p for p in points]) + "\n  ]"
+    else:
+        block = "[]"
+    return text.replace(_POINTS_SLOT_JSON, block, 1)
+
+
 def _inv_block(inv: Invariants) -> dict:
     return {
         "k": str(inv.k),
@@ -97,10 +120,6 @@ def _inv_block(inv: Invariants) -> dict:
         "delta_q": str(inv.delta_q),
         "m": str(inv.m),
     }
-
-
-def _point_doc(p) -> list[str]:
-    return [str(p.x), str(p.y)]
 
 
 def _conic_doc(conic: Conic) -> dict:
@@ -134,13 +153,6 @@ def _points_text(points) -> str:
     return "".join(f"{p.x} {p.y}\n" for p in points)
 
 
-def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
-    if args.format == "json":
-        sys.stdout.write(_dump(doc))
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_invalid(args: argparse.Namespace, exc: Exception) -> int:
     code = getattr(exc, "code", "invalid-input")
     if args.format == "json":
@@ -154,10 +166,6 @@ def _emit_invalid(args: argparse.Namespace, exc: Exception) -> int:
 # ---------------------------------------------------------------------------
 # oracle box helpers for --check
 
-def _floor_div(p: int, q: int) -> int:
-    return p // q
-
-
 def _ceil_div(p: int, q: int) -> int:
     if q < 0:
         p, q = -p, -q
@@ -167,8 +175,8 @@ def _ceil_div(p: int, q: int) -> int:
 def _t_range(c0: int, d: int, lim: int) -> tuple[int, int]:
     """Integer t with |c0 + t*d| <= lim, as an inclusive interval (d != 0)."""
     if d > 0:
-        return _ceil_div(-lim - c0, d), _floor_div(lim - c0, d)
-    return _ceil_div(lim - c0, d), _floor_div(-lim - c0, d)
+        return _ceil_div(-lim - c0, d), (lim - c0) // d
+    return _ceil_div(lim - c0, d), (-lim - c0) // d
 
 
 def _line_box_points(lines, bound: SearchBound) -> list:
@@ -196,12 +204,19 @@ def _line_box_points(lines, bound: SearchBound) -> list:
     return sorted(points)
 
 
-def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
+def _search_box(args, conic: Conic, inv: Invariants) -> SearchBound | None:
+    """The square --bound box, else the derived box; None for a degenerate
+    conic without --bound."""
     if args.bound is not None:
-        bound = SearchBound(bx=args.bound, by=args.bound)
-    elif inv.big_i != 0:
-        bound = solution_bound(conic, inv)
-    else:
+        return SearchBound(bx=args.bound, by=args.bound)
+    if inv.big_i != 0:
+        return solution_bound(conic, inv)
+    return None
+
+
+def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
+    bound = _search_box(args, conic, inv)
+    if bound is None:
         print(
             "error: --check on a degenerate conic needs --bound",
             file=sys.stderr,
@@ -235,21 +250,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = solve(conic, reduce=not args.no_reduce, divisor_cap=args.divisor_cap)
     except ConicError as exc:
         return _emit_invalid(args, exc)
+    json_format = args.format == "json"
     if isinstance(result, FiniteSolutions):
-        doc = {
-            "kind": "finite",
-            "points": [_point_doc(p) for p in result.points],
-            "invariants": _inv_block(inv),
-        }
-        text = _points_text(result.points)
-    else:
-        doc = {
+        out = _finite_json(inv, result.points) if json_format else _points_text(result.points)
+    elif json_format:
+        out = _dump({
             "kind": "lines",
             "lines": [_line_doc(line) for line in result.lines],
             "invariants": _inv_block(inv),
-        }
-        text = "".join(_line_text(line) + "\n" for line in result.lines)
-    _emit(args, doc, text)
+        })
+    else:
+        out = "".join(_line_text(line) + "\n" for line in result.lines)
+    sys.stdout.write(out)
     if args.check:
         return _run_check(args, conic, inv, result)
     return 0
@@ -260,9 +272,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         _, inv = _conic_from_args(args)
     except ConicError as exc:
         return _emit_invalid(args, exc)
-    doc = {"invariants": _inv_block(inv)}
-    text = f"k = {inv.k}\ni = {inv.big_i}\ndelta_q = {inv.delta_q}\nm = {inv.m}\n"
-    _emit(args, doc, text)
+    if args.format == "json":
+        sys.stdout.write(_dump({"invariants": _inv_block(inv)}))
+    else:
+        sys.stdout.write(f"k = {inv.k}\ni = {inv.big_i}\ndelta_q = {inv.delta_q}\nm = {inv.m}\n")
     return 0
 
 
@@ -271,11 +284,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         conic, inv = _conic_from_args(args)
     except ConicError as exc:
         return _emit_invalid(args, exc)
-    if args.bound is not None:
-        bound = SearchBound(bx=args.bound, by=args.bound)
-    elif inv.big_i != 0:
-        bound = solution_bound(conic, inv)
-    else:
+    bound = _search_box(args, conic, inv)
+    if bound is None:
         print(
             "error: degenerate conic (invariant 0) has no finite search box; "
             "give --bound",
@@ -283,12 +293,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
         return 4
     points = brute_force(conic, bound)
-    doc = {
-        "kind": "finite",
-        "points": [_point_doc(p) for p in points],
-        "invariants": _inv_block(inv),
-    }
-    _emit(args, doc, _points_text(points))
+    sys.stdout.write(_finite_json(inv, points) if args.format == "json" else _points_text(points))
     return 0
 
 
@@ -298,18 +303,14 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
         points = power_of_two_points(args.beta, args.delta, args.epsilon, args.n)
     except (ConicError, ValueError) as exc:
         return _emit_invalid(args, exc)
-    inv = invariants_of(conic)
-    doc = {
-        "kind": "finite",
-        "conic": _conic_doc(conic),
-        "points": [_point_doc(p) for p in points],
-        "invariants": _inv_block(inv),
-    }
-    text = (
-        f"conic: {conic.alpha} {conic.beta} {conic.gamma} "
-        f"{conic.delta} {conic.epsilon} {conic.j}\n" + _points_text(points)
-    )
-    _emit(args, doc, text)
+    if args.format == "json":
+        out = _finite_json(invariants_of(conic), points, conic=_conic_doc(conic))
+    else:
+        out = (
+            f"conic: {conic.alpha} {conic.beta} {conic.gamma} "
+            f"{conic.delta} {conic.epsilon} {conic.j}\n" + _points_text(points)
+        )
+    sys.stdout.write(out)
     return 0
 
 
@@ -321,15 +322,12 @@ def _cmd_sumform(args: argparse.Namespace) -> int:
         _, inv = validate(args.l * args.l, 0, -args.m * args.m, 0, 0, args.j)
     except (ConicError, ValueError) as exc:
         return _emit_invalid(args, exc)
-    doc = {
-        "kind": "finite",
-        "points": [_point_doc(p) for p in result.points],
-        "invariants": _inv_block(inv),
-    }
+    if args.format == "json":
+        extra = {} if result.obstruction is None else {"obstruction": result.obstruction}
+        sys.stdout.write(_finite_json(inv, result.points, **extra))
+        return 0
+    sys.stdout.write(_points_text(result.points))
     if result.obstruction is not None:
-        doc["obstruction"] = result.obstruction
-    _emit(args, doc, _points_text(result.points))
-    if result.obstruction is not None and args.format == "text":
         print("no integer solutions: -j = 2 (mod 4)", file=sys.stderr)
     return 0
 

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conicpoints import FiniteSolutions, LatticePoint
+from conicpoints import ConicError, FiniteSolutions, LatticePoint, random_valid_conic, solve
 from conicpoints.cli import main
+from test_solver import _planted_target_conic
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
 
@@ -313,6 +320,107 @@ def test_large_coefficients_survive(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["invariants"]["delta_q"] == str(-4 * 10**30)
+
+
+# ---------------------------------------------------------------------------
+# JSON bytes: every document is json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
+
+
+def assert_canonical_json(out: str) -> dict:
+    doc = json.loads(out)
+    canonical = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if out != canonical:
+        # report the first difference; a diff of two large documents takes minutes
+        at = next(
+            (i for i, (a, b) in enumerate(zip(out, canonical)) if a != b),
+            min(len(out), len(canonical)),
+        )
+        pytest.fail(f"not canonical at offset {at}: {out[max(at - 30, 0):at + 30]!r}")
+    return doc
+
+
+def point_strings(points) -> list[list[str]]:
+    return [[str(x), str(y)] for x, y in points]
+
+
+def main_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, keys, points",
+    [
+        (["solve", *GOLDEN_ARGS], {"invariants", "kind", "points"}, GOLDEN_POINTS),
+        (["solve", "1", "0", "-1", "0", "0", "-2"], {"invariants", "kind", "points"}, []),
+        (["oracle", *GOLDEN_ARGS], {"invariants", "kind", "points"}, GOLDEN_POINTS),
+        (
+            ["theorem1", "3", "0", "1", "4"],
+            {"conic", "invariants", "kind", "points"},
+            [(-10, 5), (-5, 2), (-5, 5), (-1, -1), (-1, 2), (4, -1)],
+        ),
+        (
+            ["sumform", "1", "1", "-13"],
+            {"invariants", "kind", "points"},
+            [(-7, -6), (-7, 6), (7, -6), (7, 6)],
+        ),
+        (["sumform", "1", "1", "-2"], {"invariants", "kind", "obstruction", "points"}, []),
+        (["solve", "1", "0", "-1", "0", "0", "0"], {"invariants", "kind", "lines"}, None),
+        (["solve", "9", "0", "-9", "9", "3", "2"], {"invariants", "kind", "lines"}, None),
+        (["invariants", *GOLDEN_ARGS], {"invariants"}, None),
+        (["solve", "0", "1", "1", "0", "0", "-1"], {"error", "kind"}, None),
+    ],
+)
+def test_json_document_bytes(capsys, argv, keys, points):
+    _, out, _ = run_cli(capsys, argv[0], "--format", "json", *argv[1:])
+    doc = assert_canonical_json(out)
+    assert set(doc) == keys
+    if points is not None:
+        assert doc["points"] == point_strings(points)
+
+
+def test_json_error_message_escaped(capsys, monkeypatch):
+    import conicpoints.cli as cli_mod
+
+    message = 'bad "conic" at C:\\tmp \u2014 \u00e9'
+
+    def failing(conic, **kwargs):
+        raise ConicError(message)
+
+    monkeypatch.setattr(cli_mod, "solve", failing)
+    code, out, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN_ARGS)
+    assert code == 1
+    doc = assert_canonical_json(out)
+    assert doc["error"] == {"code": "conic-error", "message": message}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), no_reduce=st.booleans())
+def test_solve_json_bytes_random_conics(seed, no_reduce):
+    conic = random_valid_conic(seed)
+    coeffs = [str(v) for v in dataclasses.astuple(conic)]
+    flags = ["--no-reduce"] if no_reduce else []
+    doc = assert_canonical_json(main_stdout(["solve", "--format", "json", *flags, *coeffs]))
+    result = solve(conic)
+    if isinstance(result, FiniteSolutions):
+        assert doc["points"] == point_strings(result.points)
+    else:
+        assert doc["kind"] == "lines"
+
+
+def test_solve_json_bytes_planted_target():
+    tau = 6720
+    target = 2**6 * 3**4 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23
+    conic, _ = _planted_target_conic(random.Random(7), target)
+    coeffs = [str(v) for v in dataclasses.astuple(conic)]
+    doc = assert_canonical_json(main_stdout(["solve", "--format", "json", *coeffs]))
+    points = solve(conic).points
+    assert len(points) == 2 * tau
+    assert doc["points"] == point_strings(points)
 
 
 # ---------------------------------------------------------------------------
