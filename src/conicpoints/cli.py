@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 invalid input; 2 parse error; 3 solver/oracle
 mismatch under --check; 4 oracle search on a degenerate conic without
---bound.  All integers in JSON documents are decimal strings so arbitrary
-magnitudes survive any JSON parser.
+--bound; 5 oracle search box over oracle.ROW_BUDGET rows, under --check
+or oracle.  All integers in JSON documents are decimal strings so
+arbitrary magnitudes survive any JSON parser.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 from .conic import Conic, Invariants, invariants_of, validate
 from .errors import ConicError
-from .oracle import SearchBound, brute_force, solution_bound
+from .oracle import ROW_BUDGET, SearchBound, brute_force, solution_bound
 from .solver import (
     FiniteSolutions,
     ParamLine,
@@ -164,45 +165,7 @@ def _emit_invalid(args: argparse.Namespace, exc: Exception) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle box helpers for --check
-
-def _ceil_div(p: int, q: int) -> int:
-    if q < 0:
-        p, q = -p, -q
-    return -(-p // q)
-
-
-def _t_range(c0: int, d: int, lim: int) -> tuple[int, int]:
-    """Integer t with |c0 + t*d| <= lim, as an inclusive interval (d != 0)."""
-    if d > 0:
-        return _ceil_div(-lim - c0, d), (lim - c0) // d
-    return _ceil_div(lim - c0, d), (-lim - c0) // d
-
-
-def _line_box_points(lines, bound: SearchBound) -> list:
-    points = set()
-    for line in lines:
-        if not line.solvable:
-            continue
-        x0, y0 = line.base
-        lo: int | None = None
-        hi: int | None = None
-        empty = False
-        for c0, d, lim in ((x0, line.direction[0], bound.bx), (y0, line.direction[1], bound.by)):
-            if d == 0:
-                if abs(c0) > lim:
-                    empty = True
-                    break
-                continue
-            t_lo, t_hi = _t_range(c0, d, lim)
-            lo = t_lo if lo is None else max(lo, t_lo)
-            hi = t_hi if hi is None else min(hi, t_hi)
-        if empty or lo is None:
-            continue
-        for t in range(lo, hi + 1):
-            points.add(line.point_at(t))
-    return sorted(points)
-
+# oracle box helpers for --check and oracle
 
 def _search_box(args, conic: Conic, inv: Invariants) -> SearchBound | None:
     """The square --bound box, else the derived box; None for a degenerate
@@ -214,6 +177,33 @@ def _search_box(args, conic: Conic, inv: Invariants) -> SearchBound | None:
     return None
 
 
+def _over_budget(bound: SearchBound) -> bool:
+    """Report a box with more rows than the oracle's row budget."""
+    rows = 2 * bound.by + 1
+    if rows <= ROW_BUDGET:
+        return False
+    print(
+        f"error: search box (bx={bound.bx}, by={bound.by}) has {rows} rows, "
+        f"over the oracle row budget of {ROW_BUDGET}",
+        file=sys.stderr,
+    )
+    return True
+
+
+# Points listed per side when solver and oracle disagree.
+_MISMATCH_SHOWN = 5
+
+
+def _only_text(side: str, points, other) -> str:
+    only = sorted(set(points).difference(other))
+    text = f"only the {side} found {len(only)}"
+    if only:
+        text += ": " + " ".join(f"({x},{y})" for x, y in only[:_MISMATCH_SHOWN])
+    if len(only) > _MISMATCH_SHOWN:
+        text += f" and {len(only) - _MISMATCH_SHOWN} more"
+    return text
+
+
 def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
     bound = _search_box(args, conic, inv)
     if bound is None:
@@ -222,6 +212,8 @@ def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
             file=sys.stderr,
         )
         return 4
+    if _over_budget(bound):
+        return 5
     oracle_points = brute_force(conic, bound)
     if isinstance(result, FiniteSolutions):
         expected = [
@@ -230,11 +222,15 @@ def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
             if abs(p.x) <= bound.bx and abs(p.y) <= bound.by
         ]
     else:
-        expected = _line_box_points(result.lines, bound)
+        expected = sorted(
+            {p for line in result.lines for p in line.points_in_box(bound.bx, bound.by)}
+        )
     if oracle_points != expected:
         print(
             f"error: solver and oracle disagree within box "
-            f"(bx={bound.bx}, by={bound.by})",
+            f"(bx={bound.bx}, by={bound.by})\n"
+            f"{_only_text('solver', expected, oracle_points)}\n"
+            f"{_only_text('oracle', oracle_points, expected)}",
             file=sys.stderr,
         )
         return 3
@@ -292,6 +288,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 4
+    if _over_budget(bound):
+        return 5
     points = brute_force(conic, bound)
     sys.stdout.write(_finite_json(inv, points) if args.format == "json" else _points_text(points))
     return 0

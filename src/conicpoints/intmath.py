@@ -61,6 +61,11 @@ def integer_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
+def ceil_div(p: int, q: int) -> int:
+    """The ceiling of p / q, for either sign of q != 0."""
+    return -(-p // q)
+
+
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor, nonnegative; gcd(0, 0) == 0."""
     return math.gcd(a, b)

@@ -25,7 +25,7 @@ from .conic import (
     invariants_of,
     validate,
 )
-from .intmath import extended_gcd, is_prime, positive_divisors
+from .intmath import ceil_div, extended_gcd, is_prime, positive_divisors
 
 
 class DivisorAssignment(NamedTuple):
@@ -60,6 +60,26 @@ class ParamLine:
             self.base.x + t * self.direction[0],
             self.base.y + t * self.direction[1],
         )
+
+    def points_in_box(self, bx: int, by: int) -> list[LatticePoint]:
+        """The line's integral points with |x| <= bx and |y| <= by, sorted."""
+        if not self.solvable or self.base is None:
+            return []
+        lo, hi = None, None
+        for c0, d, lim in zip(self.base, self.direction, (bx, by)):
+            if d == 0:
+                if abs(c0) > lim:
+                    return []
+                continue
+            if d < 0:
+                c0, d = -c0, -d
+            # t with -lim <= c0 + t*d <= lim
+            t_lo, t_hi = ceil_div(-lim - c0, d), (lim - c0) // d
+            lo = t_lo if lo is None else max(lo, t_lo)
+            hi = t_hi if hi is None else min(hi, t_hi)
+        # the direction's first nonzero component is positive, so t order
+        # is (x, y) order
+        return [self.point_at(t) for t in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,55 @@ def test_solve_check_detects_fault(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "solve", tampered)
     code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
     assert code == 3
-    assert "disagree" in err
+    assert err.splitlines() == [
+        "error: solver and oracle disagree within box (bx=12, by=9)",
+        "only the solver found 1: (5,5)",
+        "only the oracle found 3: (-2,-1) (1,0) (1,2)",
+    ]
+
+
+def test_solve_check_mismatch_lists_are_capped(capsys, monkeypatch):
+    import conicpoints.cli as cli_mod
+
+    bogus = tuple(LatticePoint(x, 9) for x in range(-12, 13))
+    monkeypatch.setattr(cli_mod, "solve", lambda conic, **kwargs: FiniteSolutions(bogus))
+    code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
+    assert code == 3
+    assert err.splitlines()[1:] == [
+        "only the solver found 25: (-12,9) (-11,9) (-10,9) (-9,9) (-8,9) and 20 more",
+        "only the oracle found 4: (-2,-1) (0,-1) (1,0) (1,2)",
+    ]
+
+
+def test_solve_check_refuses_box_over_row_budget(capsys):
+    # the theorem1 3 0 1 46 conic: its derived box has about 1.4e14 rows
+    conic_args = ["1", "3", "2", "0", "1", "-17592186044417"]
+    _, points, _ = run_cli(capsys, "solve", *conic_args)
+    code, out, err = run_cli(capsys, "solve", "--check", *conic_args)
+    assert code == 5
+    assert out == points
+    assert err == (
+        "error: search box (bx=105553116266499, by=70368744177666) has "
+        "140737488355333 rows, over the oracle row budget of 4194304\n"
+    )
+
+
+def test_oracle_row_budget_edge(capsys):
+    from conicpoints.oracle import ROW_BUDGET
+
+    by = (ROW_BUDGET - 1) // 2
+    code, out, err = run_cli(capsys, "oracle", "--bound", str(by), *GOLDEN_ARGS)
+    assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
+    code, out, err = run_cli(capsys, "oracle", "--bound", str(by + 1), *GOLDEN_ARGS)
+    assert code == 5
+    assert out == ""
+    assert f"(bx={by + 1}, by={by + 1}) has {2 * by + 3} rows" in err
+    assert f"row budget of {ROW_BUDGET}" in err
+    code, _, err = run_cli(
+        capsys, "solve", "--check", "--bound", str(by + 1), "1", "0", "-1", "0", "0", "0"
+    )
+    assert code == 5
+    assert "row budget" in err
 
 
 def test_solve_check_lines_needs_bound(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from conicpoints import (
     integer_sqrt,
     positive_divisors,
 )
-from conicpoints.intmath import is_prime
+from conicpoints.intmath import ceil_div, is_prime
 
 
 def test_integer_sqrt_basics():
@@ -43,6 +44,13 @@ def test_integer_sqrt_of_square_roundtrips(s):
 def test_integer_sqrt_rejects_offsets(s):
     assert integer_sqrt(s * s + 1) is None
     assert integer_sqrt(s * s - 1) is None
+
+
+def test_ceil_div_either_sign():
+    for p in range(-30, 31):
+        for q in (*range(-7, 0), *range(1, 8)):
+            assert ceil_div(p, q) == math.ceil(Fraction(p, q))
+    assert ceil_div(-(10**40) - 1, -(10**20)) == 10**20 + 1
 
 
 def test_gcd_values():

@@ -185,6 +185,23 @@ def test_linear_diophantine_through_origin():
     assert line.direction == (1, -1)
 
 
+def test_points_in_box_matches_scan():
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+        if a == b == 0:
+            continue
+        line = solve_linear_diophantine(a, b, rng.randint(-20, 20))
+        bx, by = rng.randint(0, 9), rng.randint(0, 9)
+        scan = [
+            (x, y)
+            for x in range(-bx, bx + 1)
+            for y in range(-by, by + 1)
+            if a * x + b * y == line.c
+        ]
+        assert line.points_in_box(bx, by) == scan
+
+
 def test_linear_diophantine_rejects_zero_line():
     with pytest.raises(ValueError):
         solve_linear_diophantine(0, 0, 5)
