@@ -27,20 +27,17 @@ from .errors import (
 from .intmath import (
     DEFAULT_DIVISOR_CAP,
     extended_gcd,
-    gcd,
     integer_sqrt,
     positive_divisors,
 )
 from .oracle import SearchBound, brute_force, random_valid_conic, solution_bound
 from .solver import (
     MOD4_OBSTRUCTION,
-    DivisorAssignment,
     FiniteSolutions,
     LinePair,
     ParamLine,
     SolutionSet,
     SquareSplitResult,
-    candidate_point,
     power_of_two_conic,
     power_of_two_points,
     solve,
@@ -57,7 +54,6 @@ __all__ = [
     "DEFAULT_DIVISOR_CAP",
     "DegenerateAlpha",
     "DegenerateGamma",
-    "DivisorAssignment",
     "DivisorLimitExceeded",
     "FactorForm",
     "FiniteSolutions",
@@ -71,11 +67,9 @@ __all__ = [
     "SolutionSet",
     "SquareSplitResult",
     "brute_force",
-    "candidate_point",
     "content_reduce",
     "extended_gcd",
     "factor_forms",
-    "gcd",
     "integer_sqrt",
     "invariants_of",
     "positive_divisors",

@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 invalid input; 2 parse error; 3 solver/oracle
 mismatch under --check; 4 oracle search on a degenerate conic without
---bound; 5 oracle search box over oracle.ROW_BUDGET rows, under --check
-or oracle.  All integers in JSON documents are decimal strings so
-arbitrary magnitudes survive any JSON parser.
+--bound; 5 oracle search box over oracle.ROW_BUDGET rows, or a line pair's
+box with room for over oracle.POINT_BUDGET points, under --check or
+oracle.  All integers in JSON documents are decimal strings so arbitrary
+magnitudes survive any JSON parser.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from .conic import Conic, Invariants, invariants_of, validate
 from .errors import ConicError
-from .oracle import ROW_BUDGET, SearchBound, brute_force, solution_bound
+from .oracle import POINT_BUDGET, ROW_BUDGET, SearchBound, brute_force, solution_bound
 from .solver import (
     FiniteSolutions,
     ParamLine,
@@ -177,14 +178,21 @@ def _search_box(args, conic: Conic, inv: Invariants) -> SearchBound | None:
     return None
 
 
-def _over_budget(bound: SearchBound) -> bool:
-    """Report a box with more rows than the oracle's row budget."""
+def _over_budget(bound: SearchBound, lines: bool) -> bool:
+    """Report a box with more rows than the oracle's row budget or, for a
+    line pair (``lines``), room for more points than its point budget."""
     rows = 2 * bound.by + 1
-    if rows <= ROW_BUDGET:
+    if rows > ROW_BUDGET:
+        what = f"{rows} rows, over the oracle row budget of {ROW_BUDGET}"
+    elif lines and 2 * rows > POINT_BUDGET:
+        what = (
+            f"room for {2 * rows} points, "
+            f"over the oracle point budget of {POINT_BUDGET}"
+        )
+    else:
         return False
     print(
-        f"error: search box (bx={bound.bx}, by={bound.by}) has {rows} rows, "
-        f"over the oracle row budget of {ROW_BUDGET}",
+        f"error: search box (bx={bound.bx}, by={bound.by}) has {what}",
         file=sys.stderr,
     )
     return True
@@ -212,7 +220,7 @@ def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
             file=sys.stderr,
         )
         return 4
-    if _over_budget(bound):
+    if _over_budget(bound, inv.big_i == 0):
         return 5
     oracle_points = brute_force(conic, bound)
     if isinstance(result, FiniteSolutions):
@@ -288,7 +296,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 4
-    if _over_budget(bound):
+    if _over_budget(bound, inv.big_i == 0):
         return 5
     points = brute_force(conic, bound)
     sys.stdout.write(_finite_json(inv, points) if args.format == "json" else _points_text(points))

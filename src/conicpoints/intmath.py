@@ -66,11 +66,6 @@ def ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, nonnegative; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
-
-
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, u, v) with g = gcd(a, b) >= 0 and a*u + b*v == g.
 

@@ -22,6 +22,11 @@ from .intmath import ceil_div, positive_divisors
 # and 8-9 s at 2^24; a typical derived box scans tens of millions of rows
 # per second.
 ROW_BUDGET = 1 << 22
+# Points (2 per row) a line pair's box may have room for under --check or
+# oracle; larger boxes are refused with exit code 5.  At the edge,
+# `solve --check --bound 65535 1 0 -1 0 0 0` (262,141 points) took 3.4 s
+# and peaked at 91 MB on the same machine, `oracle` 1.0 s and 68 MB.
+POINT_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Solvers for the factored conic equation F1*F2 = I.
 
+The finite and the degenerate case both take F1 and F2 from
+conic.factor_forms.
+
 Finite case (I != 0): every integral point turns F1 and F2 into a pair of
-integers whose product is I, so it arises from a splitting I = s1*s2.
-Writing s1 = e*d with d a positive divisor of |I| and e = +-1 (then
-s2 = I/s1), each of the 2*tau(|I|) assignments gives a 2x2 integer linear
-system; the point is kept when the exact rational solution is integral.
+integers whose product is I, so it arises from a splitting I = s1*s2.  For
+each of the 2*tau(|I|) signed divisors s1 (then s2 = I/s1) one Cramer solve
+of F1 = s1, F2 = s2 runs on plain ints, and the point is kept when the
+exact rational solution is integral.  The same loop runs on the
+content-reduced forms and target, which give the same points from fewer
+divisors.
 
 Degenerate case (I == 0): the conic is the union of the two lines F1 = 0 and
 F2 = 0, each an ordinary linear Diophantine equation.
@@ -13,11 +18,9 @@ F2 = 0, each an ordinary linear Diophantine equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .conic import (
     Conic,
-    FactorForm,
     Invariants,
     LatticePoint,
     content_reduce,
@@ -26,13 +29,6 @@ from .conic import (
     validate,
 )
 from .intmath import ceil_div, extended_gcd, is_prime, positive_divisors
-
-
-class DivisorAssignment(NamedTuple):
-    """One splitting F1 = e*d, F2 = e*(big_i/d) with d > 0 a divisor of |big_i|."""
-
-    d: int
-    e: int
 
 
 @dataclass(frozen=True)
@@ -120,52 +116,6 @@ def solve(
     return FiniteSolutions(tuple(pts))
 
 
-def candidate_point(
-    conic: Conic, inv: Invariants, assignment: DivisorAssignment
-) -> LatticePoint | None:
-    """Closed-form solution of F1 = e*d, F2 = e*(I/d) on the unreduced forms.
-
-    Eliminating between the two forms (determinant 4*alpha*k^3 != 0) gives
-
-        x = (s1*(beta+k) - s2*(beta-k) - 2*delta*k^2 - 2*beta*M) / (4*alpha*k^2)
-        y = (s2 - s1 + 2*M) / (2*k^2)
-
-    with s1 = e*d, s2 = e*(I/d).  Returns the point when both divisions are
-    exact, else None.
-    """
-    s1 = assignment.e * assignment.d
-    s2 = inv.big_i // s1
-    k, m = inv.k, inv.m
-    ny = s2 - s1 + 2 * m
-    dy = 2 * k * k
-    if ny % dy:
-        return None
-    nx = (
-        s1 * (conic.beta + k)
-        - s2 * (conic.beta - k)
-        - 2 * conic.delta * k * k
-        - 2 * conic.beta * m
-    )
-    dx = 4 * conic.alpha * k * k
-    if nx % dx:
-        return None
-    return LatticePoint(nx // dx, ny // dy)
-
-
-def _point_from_forms(
-    f1: FactorForm, f2: FactorForm, s1: int, s2: int
-) -> LatticePoint | None:
-    """Exact Cramer solve of f1(x,y) = s1, f2(x,y) = s2; None unless integral."""
-    det = f1.cx * f2.cy - f1.cy * f2.cx
-    r1 = s1 - f1.c0
-    r2 = s2 - f2.c0
-    nx = r1 * f2.cy - r2 * f1.cy
-    ny = f1.cx * r2 - f2.cx * r1
-    if nx % det or ny % det:
-        return None
-    return LatticePoint(nx // det, ny // det)
-
-
 def solve_finite(
     conic: Conic,
     inv: Invariants,
@@ -175,33 +125,35 @@ def solve_finite(
 ) -> list[LatticePoint]:
     """All integral points when big_i != 0, sorted by (x, y).
 
-    With ``reduce`` the divisor enumeration runs over the content-reduced
-    forms and the correspondingly smaller right-hand side; the result is
-    identical either way.  Distinct assignments can collapse to one point,
-    hence the set.
+    One Cramer solve of f1 = s1, f2 = target/s1 per signed divisor s1 of
+    the target.  With ``reduce`` the forms and target are content_reduce's;
+    without it they are factor_forms' and big_i.  The result is identical
+    either way.  Distinct divisors can give one point, hence the set.
     """
     if inv.big_i == 0:
         raise ValueError("big_i == 0 is the degenerate case; use solve_degenerate")
-    points: set[LatticePoint] = set()
+    f1, f2 = factor_forms(conic, inv)
+    target = inv.big_i
     if reduce:
-        reduced = content_reduce(*factor_forms(conic, inv), inv.big_i)
+        reduced = content_reduce(f1, f2, target)
         if reduced is None:
             # contents do not divide big_i: no lattice point can exist
             return []
-        g1, g2, target = reduced
-        for d in positive_divisors(target, cap=divisor_cap):
-            for e in (1, -1):
-                s1 = e * d
-                p = _point_from_forms(g1, g2, s1, target // s1)
-                if p is not None:
-                    points.add(p)
-    else:
-        for d in positive_divisors(inv.big_i, cap=divisor_cap):
-            for e in (1, -1):
-                p = candidate_point(conic, inv, DivisorAssignment(d, e))
-                if p is not None:
-                    points.add(p)
-    return sorted(points)
+        f1, f2, target = reduced
+    a1, b1, c1 = f1.cx, f1.cy, f1.c0
+    a2, b2, c2 = f2.cx, f2.cy, f2.c0
+    det = a1 * b2 - b1 * a2
+    found = set()
+    for d in positive_divisors(target, cap=divisor_cap):
+        for s1 in (d, -d):
+            r1 = s1 - c1
+            r2 = target // s1 - c2
+            nx = r1 * b2 - r2 * b1
+            if nx % det == 0:
+                ny = a1 * r2 - a2 * r1
+                if ny % det == 0:
+                    found.add((nx // det, ny // det))
+    return [LatticePoint(x, y) for x, y in sorted(found)]
 
 
 def solve_linear_diophantine(a: int, b: int, c: int) -> ParamLine:
@@ -233,12 +185,11 @@ def solve_degenerate(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLin
     """
     if inv.big_i != 0:
         raise ValueError("big_i != 0 is the finite case; use solve_finite")
-    k, m = inv.k, inv.m
-    lead = 2 * conic.alpha * k
-    rhs = -conic.delta * k
-    line1 = solve_linear_diophantine(lead, k * (conic.beta - k), rhs - m)
-    line2 = solve_linear_diophantine(lead, k * (conic.beta + k), rhs + m)
-    return line1, line2
+    f1, f2 = factor_forms(conic, inv)
+    return (
+        solve_linear_diophantine(f1.cx, f1.cy, -f1.c0),
+        solve_linear_diophantine(f2.cx, f2.cy, -f2.c0),
+    )
 
 
 def solve_homogeneous(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLine]:

@@ -168,6 +168,31 @@ def test_oracle_row_budget_edge(capsys):
     assert "row budget" in err
 
 
+def test_line_pair_point_budget_edge(capsys):
+    from conicpoints.oracle import POINT_BUDGET
+
+    # (3x + 3y + 1)(3x - 3y + 2) = 0 has no lattice point, so the accepted
+    # side scans its rows quickly and prints nothing
+    lines = ["9", "0", "-9", "9", "3", "2"]
+    by = (POINT_BUDGET - 2) // 4
+    assert 2 * (2 * by + 1) <= POINT_BUDGET < 2 * (2 * by + 3)
+    code, out, err = run_cli(capsys, "oracle", "--bound", str(by), *lines)
+    assert (code, out, err) == (0, "", "")
+    code, _, err = run_cli(capsys, "solve", "--check", "--bound", str(by), *lines)
+    assert (code, err) == (0, "")
+    _, solved, _ = run_cli(capsys, "solve", *lines)
+    for cmd, printed in ((["oracle"], ""), (["solve", "--check"], solved)):
+        code, out, err = run_cli(capsys, *cmd, "--bound", str(by + 1), *lines)
+        assert (code, out) == (5, printed)
+        assert err == (
+            f"error: search box (bx={by + 1}, by={by + 1}) has room for "
+            f"{4 * by + 6} points, over the oracle point budget of {POINT_BUDGET}\n"
+        )
+    # a finite conic is not held to the point budget
+    code, out, _ = run_cli(capsys, "oracle", "--bound", str(by + 1), *GOLDEN_ARGS)
+    assert (code, out) == (0, "-2 -1\n0 -1\n1 0\n1 2\n")
+
+
 def test_solve_check_lines_needs_bound(capsys):
     code, _, err = run_cli(capsys, "solve", "--check", "1", "0", "-1", "0", "0", "0")
     assert code == 4

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conicpoints import (
     DivisorLimitExceeded,
     extended_gcd,
-    gcd,
     integer_sqrt,
     positive_divisors,
 )
@@ -53,15 +52,6 @@ def test_ceil_div_either_sign():
     assert ceil_div(-(10**40) - 1, -(10**20)) == 10**20 + 1
 
 
-def test_gcd_values():
-    assert gcd(6, 9) == 3
-    assert gcd(0, 7) == 7
-    assert gcd(7, 0) == 7
-    assert gcd(0, 0) == 0
-    assert gcd(-6, 9) == 3
-    assert gcd(2, 2) == 2
-
-
 def test_extended_gcd_known():
     g, u, v = extended_gcd(240, 46)
     assert g == 2
@@ -74,7 +64,7 @@ def test_extended_gcd_known():
 @given(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20))
 def test_extended_gcd_bezout(a, b):
     g, u, v = extended_gcd(a, b)
-    assert g == gcd(a, b)
+    assert g == math.gcd(a, b)
     assert a * u + b * v == g
     assert g >= 0
 

@@ -6,14 +6,13 @@ import random
 import pytest
 
 from conicpoints import (
-    DivisorAssignment,
     DivisorLimitExceeded,
     FiniteSolutions,
     LatticePoint,
     LinePair,
     MOD4_OBSTRUCTION,
     brute_force,
-    candidate_point,
+    factor_forms,
     invariants_of,
     power_of_two_conic,
     power_of_two_points,
@@ -33,31 +32,15 @@ GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
-# candidate_point
+# unreduced forms
 
-def test_candidate_point_golden_hits():
+def test_factor_forms_golden_splittings():
     conic, inv = validate(*GOLDEN)
-    assert candidate_point(conic, inv, DivisorAssignment(8, 1)) == (1, 0)
-    # (1,2) turns the unreduced forms into F1 = -40, F2 = -2
-    assert candidate_point(conic, inv, DivisorAssignment(40, -1)) == (1, 2)
-
-
-def test_candidate_point_golden_misses():
-    conic, inv = validate(*GOLDEN)
-    # y-numerator 80 - 1 + 2*(-1) = 77, not divisible by 2k^2 = 18
-    assert candidate_point(conic, inv, DivisorAssignment(1, 1)) is None
-    assert candidate_point(conic, inv, DivisorAssignment(10, 1)) is None
-
-
-def test_candidate_point_covers_all_golden_solutions():
-    conic, inv = validate(*GOLDEN)
-    hits = set()
-    for d in [1, 2, 4, 5, 8, 10, 16, 20, 40, 80]:
-        for e in (1, -1):
-            p = candidate_point(conic, inv, DivisorAssignment(d, e))
-            if p is not None:
-                hits.add(tuple(p))
-    assert hits == set(GOLDEN_POINTS)
+    f1, f2 = factor_forms(conic, inv)
+    # (1,0) turns the unreduced forms into F1 = 8, F2 = 10, and (1,2) into
+    # F1 = -40, F2 = -2: both splittings of I = 80
+    assert (f1.evaluate(1, 0), f2.evaluate(1, 0)) == (8, 10)
+    assert (f1.evaluate(1, 2), f2.evaluate(1, 2)) == (-40, -2)
 
 
 # ---------------------------------------------------------------------------
