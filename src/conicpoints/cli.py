@@ -109,7 +109,7 @@ def _finite_json(inv: Invariants, points, **extra) -> str:
         {"kind": "finite", "invariants": _inv_block(inv), "points": _POINTS_SLOT, **extra}
     )
     if points:
-        block = "[\n" + ",\n".join([_POINT_JSON % p for p in points]) + "\n  ]"
+        block = "[\n" + ",\n".join(map(_POINT_JSON.__mod__, points)) + "\n  ]"
     else:
         block = "[]"
     return text.replace(_POINTS_SLOT_JSON, block, 1)

@@ -207,6 +207,7 @@ def positive_divisors(n: int, cap: int | None = None) -> list[int]:
         )
     divisors = [1]
     for p, e in _factorize(n).items():
-        divisors += [d * p**i for i in range(1, e + 1) for d in divisors]
+        powers = [p**i for i in range(1, e + 1)]
+        divisors += [d * q for q in powers for d in divisors]
     divisors.sort()
     return divisors

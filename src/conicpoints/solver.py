@@ -7,9 +7,11 @@ Finite case (I != 0): every integral point turns F1 and F2 into a pair of
 integers whose product is I, so it arises from a splitting I = s1*s2.  For
 each of the 2*tau(|I|) signed divisors s1 (then s2 = I/s1) one Cramer solve
 of F1 = s1, F2 = s2 runs on plain ints, and the point is kept when the
-exact rational solution is integral.  The same loop runs on the
-content-reduced forms and target, which give the same points from fewer
-divisors.
+exact rational solution is integral.  The determinant of the forms is
+4*alpha*k^3 != 0 (content reduction divides it by c1*c2), so (x, y) ->
+(F1, F2) is one to one: distinct splittings give distinct points and there
+is nothing to de-duplicate.  The same loop runs on the content-reduced
+forms and target, which give the same points from fewer divisors.
 
 Degenerate case (I == 0): the conic is the union of the two lines F1 = 0 and
 F2 = 0, each an ordinary linear Diophantine equation.
@@ -18,6 +20,7 @@ F2 = 0, each an ordinary linear Diophantine equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .conic import (
     Conic,
@@ -128,7 +131,15 @@ def solve_finite(
     One Cramer solve of f1 = s1, f2 = target/s1 per signed divisor s1 of
     the target.  With ``reduce`` the forms and target are content_reduce's;
     without it they are factor_forms' and big_i.  The result is identical
-    either way.  Distinct divisors can give one point, hence the set.
+    either way.  The determinant is never 0, so no two signed divisors give
+    the same point.
+
+    Pairing the ascending divisors with their reverse gives each d its
+    cofactor e = |target|/d.  With s2 = sign(target)*e, s1 = +-d gives the
+    numerators nx = kx +- u and ny = ky +- v, where u = b2*d - b1*s2 and
+    v = a1*s2 - a2*d.  The derivative of u in d, b2 + b1*target/d^2, changes
+    sign at most once, so each sign's x values form at most two monotone
+    runs and the one sort is close to linear.
     """
     if inv.big_i == 0:
         raise ValueError("big_i == 0 is the degenerate case; use solve_degenerate")
@@ -143,17 +154,28 @@ def solve_finite(
     a1, b1, c1 = f1.cx, f1.cy, f1.c0
     a2, b2, c2 = f2.cx, f2.cy, f2.c0
     det = a1 * b2 - b1 * a2
-    found = set()
-    for d in positive_divisors(target, cap=divisor_cap):
-        for s1 in (d, -d):
-            r1 = s1 - c1
-            r2 = target // s1 - c2
-            nx = r1 * b2 - r2 * b1
-            if nx % det == 0:
-                ny = a1 * r2 - a2 * r1
-                if ny % det == 0:
-                    found.add((nx // det, ny // det))
-    return [LatticePoint(x, y) for x, y in sorted(found)]
+    kx = b1 * c2 - b2 * c1
+    ky = a2 * c1 - a1 * c2
+    if target < 0:
+        # s2 = -e: fold the sign into the two coefficients that multiply s2
+        a1, b1 = -a1, -b1
+    divisors = positive_divisors(target, cap=divisor_cap)
+    plus, minus = [], []
+    for d, e in zip(divisors, reversed(divisors)):
+        u = b2 * d - b1 * e
+        nx = kx + u
+        if nx % det == 0:
+            ny = ky + a1 * e - a2 * d
+            if ny % det == 0:
+                plus.append((nx // det, ny // det))
+        nx = kx - u
+        if nx % det == 0:
+            ny = ky - a1 * e + a2 * d
+            if ny % det == 0:
+                minus.append((nx // det, ny // det))
+    plus += minus
+    plus.sort()
+    return list(map(tuple.__new__, repeat(LatticePoint), plus))
 
 
 def solve_linear_diophantine(a: int, b: int, c: int) -> ParamLine:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conicpoints import (
     DivisorLimitExceeded,
@@ -12,8 +14,10 @@ from conicpoints import (
     LinePair,
     MOD4_OBSTRUCTION,
     brute_force,
+    content_reduce,
     factor_forms,
     invariants_of,
+    positive_divisors,
     power_of_two_conic,
     power_of_two_points,
     random_valid_conic,
@@ -433,15 +437,15 @@ def _planted_target_conic(rng, target):
     return validate(1, beta, (beta * beta - 1) // 4, delta, epsilon, j)
 
 
-@pytest.mark.parametrize(
-    "factors",
-    [
-        {70000000000009: 1},
-        {8366609: 1, 8367641: 1},
-        {2: 46},
-        {2: 6, 3: 4, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1},
-    ],
-)
+PLANTED_FACTORS = [
+    {70000000000009: 1},
+    {8366609: 1, 8367641: 1},
+    {2: 46},
+    {2: 6, 3: 4, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1},  # tau = 6720
+]
+
+
+@pytest.mark.parametrize("factors", PLANTED_FACTORS)
 def test_solve_planted_target_counts(factors):
     rng = random.Random(5)
     tau = math.prod(e + 1 for e in factors.values())
@@ -452,6 +456,96 @@ def test_solve_planted_target_counts(factors):
         points = solve(conic).points
         assert len(set(points)) == len(points) == 2 * tau
         assert all(conic.evaluate(x, y) == 0 for x, y in points)
+
+
+# ---------------------------------------------------------------------------
+# the divisor loop against an independent Cramer reference
+
+def _cramer_reference(conic, inv, reduce, cap=None):
+    """One Cramer solve per signed divisor s1, with s2 = target // s1 and a
+    set of the integral solutions: the plain form of solve_finite's loop."""
+    f1, f2 = factor_forms(conic, inv)
+    target = inv.big_i
+    if reduce:
+        reduced = content_reduce(f1, f2, target)
+        if reduced is None:
+            return []
+        f1, f2, target = reduced
+    a1, b1, c1 = f1.cx, f1.cy, f1.c0
+    a2, b2, c2 = f2.cx, f2.cy, f2.c0
+    det = a1 * b2 - b1 * a2
+    found = set()
+    for d in positive_divisors(target, cap=cap):
+        for s1 in (d, -d):
+            r1 = s1 - c1
+            r2 = target // s1 - c2
+            nx = r1 * b2 - r2 * b1
+            if nx % det == 0:
+                ny = a1 * r2 - a2 * r1
+                if ny % det == 0:
+                    found.add((nx // det, ny // det))
+    return [LatticePoint(x, y) for x, y in sorted(found)]
+
+
+def _assert_matches_reference(conic, inv, reduce, cap=None):
+    points = solve_finite(conic, inv, reduce=reduce, divisor_cap=cap)
+    assert points == _cramer_reference(conic, inv, reduce, cap)
+    assert all(type(p) is LatticePoint for p in points)
+    assert len(set(points)) == len(points)
+    return points
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_solve_finite_matches_reference_random(reduce):
+    checked = 0
+    for seed in range(2400):
+        conic = random_valid_conic(seed)
+        inv = invariants_of(conic)
+        if inv.big_i == 0:
+            continue
+        checked += 1
+        _assert_matches_reference(conic, inv, reduce)
+    assert checked >= 2000
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("factors", PLANTED_FACTORS)
+def test_solve_finite_matches_reference_planted(factors, reduce):
+    rng = random.Random(11)
+    for sign in (1, -1):
+        target = sign * math.prod(p**e for p, e in factors.items())
+        conic, inv = _planted_target_conic(rng, target)
+        # the unreduced target, 4*target, is over the default cap
+        _assert_matches_reference(conic, inv, reduce, cap=10**15)
+
+
+_factor_coeff = st.integers(10**5, 10**20) | st.integers(-(10**20), -(10**5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(*[_factor_coeff] * 4),
+    st.tuples(*[st.integers(-(10**6), 10**6)] * 2),
+    st.tuples(*[st.integers(-(10**4), 10**4).filter(bool)] * 2),
+)
+def test_solve_finite_matches_reference_large(coeffs, point, values):
+    """(p*x + q*y + r)(s*x + t*y + w) = m1*m2 through a planted point.
+
+    r and w make the two factors m1 and m2 at the point, so the conic has
+    10- to 40-digit quadratic coefficients (larger linear and constant
+    ones) while its reduced target divides m1*m2.
+    The unreduced target is far over the divisor cap, so only the reduced
+    loop runs.
+    """
+    p, q, s, t = coeffs
+    assume(p * t != q * s)
+    x0, y0 = point
+    m1, m2 = values
+    r, w = m1 - p * x0 - q * y0, m2 - s * x0 - t * y0
+    conic, inv = validate(
+        p * s, p * t + q * s, q * t, p * w + r * s, q * w + r * t, r * w - m1 * m2
+    )
+    assert (x0, y0) in _assert_matches_reference(conic, inv, True)
 
 
 # ---------------------------------------------------------------------------
