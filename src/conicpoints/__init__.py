@@ -44,7 +44,6 @@ from .solver import (
     solve_degenerate,
     solve_difference_of_squares,
     solve_finite,
-    solve_homogeneous,
     solve_linear_diophantine,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "solve_degenerate",
     "solve_difference_of_squares",
     "solve_finite",
-    "solve_homogeneous",
     "solve_linear_diophantine",
     "validate",
 ]

@@ -25,7 +25,6 @@ import re
 import sys
 
 from .conic import Conic, Invariants, invariants_of, validate
-from .errors import ConicError
 from .oracle import POINT_BUDGET, ROW_BUDGET, SearchBound, brute_force, solution_bound
 from .solver import (
     FiniteSolutions,
@@ -249,11 +248,8 @@ def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
 # subcommands
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        conic, inv = _conic_from_args(args)
-        result = solve(conic, reduce=not args.no_reduce, divisor_cap=args.divisor_cap)
-    except ConicError as exc:
-        return _emit_invalid(args, exc)
+    conic, inv = _conic_from_args(args)
+    result = solve(conic, reduce=not args.no_reduce, divisor_cap=args.divisor_cap)
     json_format = args.format == "json"
     if isinstance(result, FiniteSolutions):
         out = _finite_json(inv, result.points) if json_format else _points_text(result.points)
@@ -272,10 +268,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    try:
-        _, inv = _conic_from_args(args)
-    except ConicError as exc:
-        return _emit_invalid(args, exc)
+    _, inv = _conic_from_args(args)
     if args.format == "json":
         sys.stdout.write(_dump({"invariants": _inv_block(inv)}))
     else:
@@ -284,10 +277,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        conic, inv = _conic_from_args(args)
-    except ConicError as exc:
-        return _emit_invalid(args, exc)
+    conic, inv = _conic_from_args(args)
     bound = _search_box(args, conic, inv)
     if bound is None:
         print(
@@ -304,11 +294,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> int:
-    try:
-        conic = power_of_two_conic(args.beta, args.delta, args.epsilon, args.n)
-        points = power_of_two_points(args.beta, args.delta, args.epsilon, args.n)
-    except (ConicError, ValueError) as exc:
-        return _emit_invalid(args, exc)
+    conic = power_of_two_conic(args.beta, args.delta, args.epsilon, args.n)
+    points = power_of_two_points(args.beta, args.delta, args.epsilon, args.n)
     if args.format == "json":
         out = _finite_json(invariants_of(conic), points, conic=_conic_doc(conic))
     else:
@@ -321,13 +308,10 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_sumform(args: argparse.Namespace) -> int:
-    try:
-        result = solve_difference_of_squares(
-            args.l, args.m, args.j, divisor_cap=args.divisor_cap
-        )
-        _, inv = validate(args.l * args.l, 0, -args.m * args.m, 0, 0, args.j)
-    except (ConicError, ValueError) as exc:
-        return _emit_invalid(args, exc)
+    result = solve_difference_of_squares(
+        args.l, args.m, args.j, divisor_cap=args.divisor_cap
+    )
+    _, inv = validate(args.l * args.l, 0, -args.m * args.m, 0, 0, args.j)
     if args.format == "json":
         extra = {} if result.obstruction is None else {"obstruction": result.obstruction}
         sys.stdout.write(_finite_json(inv, result.points, **extra))
@@ -429,6 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Coefficients are decimal integers of any size; since Python 3.10.7,
+    # str() and int() refuse integers over 4,300 digits by default.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     cap_text = os.environ.get("CONIC_DIVISOR_CAP")
@@ -440,7 +428,11 @@ def main(argv: list[str] | None = None) -> int:
         args.divisor_cap = int(cap_text)
     else:
         args.divisor_cap = None
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        # ConicError and the closed forms' argument checks
+        return _emit_invalid(args, exc)
 
 
 if __name__ == "__main__":

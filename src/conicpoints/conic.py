@@ -72,7 +72,7 @@ class Invariants:
     k        positive square root of beta^2 - 4*alpha*gamma
     big_i    k^2 * delta_q - m^2; zero exactly for the degenerate line pair
     delta_q  delta^2 - 4*alpha*j (discriminant of the conic read as a
-             quadratic in x at y = 0, reused by the search bound)
+             quadratic in x at y = 0; reported, not used by the search bound)
     m        2*alpha*epsilon - beta*delta
     """
 

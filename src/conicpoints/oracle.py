@@ -18,9 +18,9 @@ from .intmath import ceil_div, positive_divisors
 # Rows (2*by + 1) the CLI lets the oracle scan; larger boxes are refused with
 # exit code 5.  The slowest finite case, a conic whose disc passes every
 # square filter in every row (`oracle --bound 2097151 1 3 2 0 0 -2882880`),
-# took 2.2-2.8 s at 2^22 rows on a 2-vCPU x86-64 machine with Python 3.11,
-# and 8-9 s at 2^24; a typical derived box scans tens of millions of rows
-# per second.
+# took 1.2-1.7 s of CPU time at 2^22 rows on a 2-vCPU x86-64 machine with
+# Python 3.11, and 7.7-8.4 s at 2^24; a typical derived box scans tens of
+# millions of rows per second.
 ROW_BUDGET = 1 << 22
 # Points (2 per row) a line pair's box may have room for under --check or
 # oracle; larger boxes are refused with exit code 5.  At the edge,
@@ -80,7 +80,7 @@ def _square_table(m: int) -> bytes:
 # only while the box holds at least _WHEEL_PERIODS periods of the wheel.
 _WHEEL_FACTORS = (16, 9, 5, 7, 11, 13)
 _WHEEL_PERIODS = 8
-_SQUARES = {m: _square_table(m) for m in (*_WHEEL_FACTORS, 64, 63, 65)}
+_SQUARES = {m: _square_table(m) for m in (*_WHEEL_FACTORS, 64)}
 
 
 def _wheel(rows: int) -> tuple[int, ...]:
@@ -124,8 +124,8 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     the box holds at least 8 periods of W); classes in which disc is never
     a square mod some factor are skipped.  Within a class disc is updated by
     finite differences, and math.isqrt runs only on values that are squares
-    mod 64, 63 and 65.  Both filters use only that a square is a square
-    modulo every m, so nothing is shared with the solver.
+    mod 64.  Both filters use only that a square is a square modulo every m,
+    so nothing is shared with the solver.
     """
     a, b, d = conic.alpha, conic.beta, conic.delta
     p = b * b - 4 * a * conic.gamma
@@ -133,7 +133,7 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     r = d * d - 4 * a * conic.j
     lo, hi = -bound.by, bound.by
     period, classes = _square_classes(p, q, r, _wheel(hi - lo + 1))
-    sq64, sq63, sq65 = _SQUARES[64], _SQUARES[63], _SQUARES[65]
+    sq64 = _SQUARES[64]
     isqrt = math.isqrt
     step2 = 2 * p * period * period
     two_a, bx = 2 * a, bound.bx
@@ -144,7 +144,7 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
         # disc(y + W) - disc(y) at y = y0; it grows by step2 per step
         diff = p * period * (2 * y0 + period) + q * period
         for y in range(y0, hi + 1, period):
-            if sq64[disc & 63] and sq63[disc % 63] and sq65[disc % 65] and disc >= 0:
+            if sq64[disc & 63] and disc >= 0:
                 s = isqrt(disc)
                 if s * s == disc:
                     lin = b * y + d

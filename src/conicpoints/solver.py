@@ -38,22 +38,26 @@ from .intmath import ceil_div, extended_gcd, is_prime, positive_divisors
 class ParamLine:
     """Integral solutions of a*x + b*y = c, parametrized when solvable.
 
-    When solvable, the solutions are exactly base + t*direction for integer
-    t.  direction is (b/g, -a/g) with g = gcd(a, b), sign-normalized so its
-    first nonzero component is positive; base is translated along direction
-    so its leading coordinate is the smallest nonnegative representative,
-    which makes the representation canonical.
+    The line is solvable exactly when base is not None; the solutions are
+    then base + t*direction for integer t.  direction is (b/g, -a/g) with
+    g = gcd(a, b), sign-normalized so its first nonzero component is
+    positive; base is translated along direction so its leading coordinate
+    is the smallest nonnegative representative, which makes the
+    representation canonical.
     """
 
     a: int
     b: int
     c: int
-    solvable: bool
     base: LatticePoint | None
     direction: tuple[int, int]
 
+    @property
+    def solvable(self) -> bool:
+        return self.base is not None
+
     def point_at(self, t: int) -> LatticePoint | None:
-        if not self.solvable or self.base is None:
+        if self.base is None:
             return None
         return LatticePoint(
             self.base.x + t * self.direction[0],
@@ -62,7 +66,7 @@ class ParamLine:
 
     def points_in_box(self, bx: int, by: int) -> list[LatticePoint]:
         """The line's integral points with |x| <= bx and |y| <= by, sorted."""
-        if not self.solvable or self.base is None:
+        if self.base is None:
             return []
         lo, hi = None, None
         for c0, d, lim in zip(self.base, self.direction, (bx, by)):
@@ -192,18 +196,20 @@ def solve_linear_diophantine(a: int, b: int, c: int) -> ParamLine:
     if dx < 0 or (dx == 0 and dy < 0):
         dx, dy = -dx, -dy
     if c % g:
-        return ParamLine(a, b, c, False, None, (dx, dy))
+        return ParamLine(a, b, c, None, (dx, dy))
     q = c // g
     x0, y0 = u * q, v * q
     t = x0 // dx if dx else y0 // dy
     base = LatticePoint(x0 - t * dx, y0 - t * dy)
-    return ParamLine(a, b, c, True, base, (dx, dy))
+    return ParamLine(a, b, c, base, (dx, dy))
 
 
 def solve_degenerate(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLine]:
     """The two lines F1 = 0 and F2 = 0 when big_i == 0.
 
-    Ordered like the factor forms: the (beta - k) line first.
+    Ordered like the factor forms: the (beta - k) line first.  For a
+    homogeneous conic (delta = epsilon = j = 0) the lines are k times
+    2*alpha*x + (beta -+ k)*y = 0, both through the origin.
     """
     if inv.big_i != 0:
         raise ValueError("big_i != 0 is the finite case; use solve_finite")
@@ -212,21 +218,6 @@ def solve_degenerate(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLin
         solve_linear_diophantine(f1.cx, f1.cy, -f1.c0),
         solve_linear_diophantine(f2.cx, f2.cy, -f2.c0),
     )
-
-
-def solve_homogeneous(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLine]:
-    """Line pair for delta = epsilon = j = 0 (which forces big_i == 0).
-
-    The k factor common to both forms cancels, leaving 2*alpha*x + (beta+-k)*y = 0.
-    Ordered with the (beta + k) line first, mirroring the reduced system; as
-    line sets this agrees with solve_degenerate, only the labels swap.
-    """
-    if conic.delta or conic.epsilon or conic.j:
-        raise ValueError("homogeneous form requires delta = epsilon = j = 0")
-    two_alpha = 2 * conic.alpha
-    line1 = solve_linear_diophantine(two_alpha, conic.beta + inv.k, 0)
-    line2 = solve_linear_diophantine(two_alpha, conic.beta - inv.k, 0)
-    return line1, line2
 
 
 def solve_difference_of_squares(
@@ -311,16 +302,17 @@ def power_of_two_points(
         y_i = e*2^(n-i) - e*2^(i-2) + M
 
     for e = +-1, with M = 2*epsilon - beta*delta.  The numerator of x_i is
-    even because beta^2 - 1 is divisible by 8 for odd beta.
+    even because beta^2 - 1 is divisible by 8 for odd beta.  Distinct
+    splittings give distinct points, as in solve_finite.
     """
     power_of_two_conic(beta, delta, epsilon, n)  # argument validation
     m0 = 2 * epsilon - beta * delta
-    points: set[LatticePoint] = set()
+    points = []
     for i in range(2, n + 1):
         lo = 1 << (i - 2)
         hi = 1 << (n - i)
         for e in (1, -1):
             num = e * lo * (beta + 1) - e * hi * (beta - 1) - delta - m0 * beta
             assert num % 2 == 0
-            points.add(LatticePoint(num // 2, e * hi - e * lo + m0))
+            points.append(LatticePoint(num // 2, e * hi - e * lo + m0))
     return sorted(points)

@@ -21,9 +21,9 @@ from conicpoints import (
     random_valid_conic,
     solution_bound,
     solve,
+    solve_degenerate,
     solve_difference_of_squares,
     solve_finite,
-    solve_homogeneous,
     validate,
 )
 from conicpoints.cli import main
@@ -186,6 +186,11 @@ def test_criterion_6_square_difference_closed_forms():
     )
 
 
+def _primitive(a, b, c):
+    g = gcd(gcd(a, b), c)
+    return a // g, b // g, c // g
+
+
 def test_criterion_7_homogeneous_lines():
     checked = 0
     seed = 0
@@ -196,7 +201,13 @@ def test_criterion_7_homogeneous_lines():
             continue
         inv = invariants_of(conic)
         assert inv.big_i == 0
-        for line in solve_homogeneous(conic, inv):
+        lines = solve_degenerate(conic, inv)
+        # the closed form: 2*alpha*x + (beta -+ k)*y = 0, as primitive triples
+        assert [_primitive(l.a, l.b, l.c) for l in lines] == [
+            _primitive(2 * conic.alpha, conic.beta - inv.k, 0),
+            _primitive(2 * conic.alpha, conic.beta + inv.k, 0),
+        ]
+        for line in lines:
             assert line.solvable
             assert line.base == (0, 0)
             assert gcd(line.direction[0], line.direction[1]) == 1

@@ -395,6 +395,25 @@ def test_large_coefficients_survive(capsys):
     assert doc["invariants"]["delta_q"] == str(-4 * 10**30)
 
 
+def test_coefficients_past_the_int_str_digit_limit(capsys):
+    # delta_q = 10^4398 - 4 has more digits than Python's default limit of
+    # 4,300 for int/str conversion
+    coeffs = ["1", "0", "-1", "1" + "0" * 2199, "0", "1"]
+    delta_q = "9" * 4397 + "6"
+    code, out, _ = run_cli(capsys, "invariants", *coeffs)
+    assert code == 0
+    assert f"\ndelta_q = {delta_q}\n" in out
+    code, out, _ = run_cli(capsys, "invariants", "--format", "json", *coeffs)
+    assert code == 0
+    assert json.loads(out)["invariants"]["delta_q"] == delta_q
+    code, out, err = run_cli(capsys, "solve", *coeffs)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: divisor-limit: ")
+    code, out, _ = run_cli(capsys, "solve", "--format", "json", *coeffs)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "divisor-limit"
+
+
 # ---------------------------------------------------------------------------
 # JSON bytes: every document is json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -26,7 +26,6 @@ from conicpoints import (
     solve_degenerate,
     solve_difference_of_squares,
     solve_finite,
-    solve_homogeneous,
     solve_linear_diophantine,
     validate,
 )
@@ -262,29 +261,19 @@ def test_degenerate_line_points_satisfy_conic():
 # ---------------------------------------------------------------------------
 # homogeneous specialisation
 
-def _primitive_line(line):
-    from math import gcd
-
-    g = gcd(gcd(line.a, line.b), line.c)
-    a, b, c = line.a // g, line.b // g, line.c // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return a, b, c
-
-
 def test_solve_homogeneous_difference_of_squares():
     conic, inv = validate(1, 0, -1, 0, 0, 0)
-    s1, s2 = solve_homogeneous(conic, inv)
+    s1, s2 = solve_degenerate(conic, inv)
     assert s1.base == (0, 0) and s2.base == (0, 0)
-    assert s1.direction == (1, -1)  # the set {(-t, t)}
-    assert s2.direction == (1, 1)  # the set {(t, t)}
+    assert s1.direction == (1, 1)  # the set {(t, t)}
+    assert s2.direction == (1, -1)  # the set {(-t, t)}
 
 
 def test_solve_homogeneous_cross_terms():
     conic, inv = validate(2, -5, 2, 0, 0, 0)
-    s1, s2 = solve_homogeneous(conic, inv)
-    assert s1.direction == (1, 2)  # {(t, 2t)}
-    assert s2.direction == (2, 1)  # {(2t, t)}
+    s1, s2 = solve_degenerate(conic, inv)
+    assert s1.direction == (2, 1)  # {(2t, t)}
+    assert s2.direction == (1, 2)  # {(t, 2t)}
     for line in (s1, s2):
         for t in range(-50, 51):
             p = line.point_at(t)
@@ -300,26 +289,9 @@ def test_solve_homogeneous_directions_coprime_and_origin():
             continue
         inv = invariants_of(conic)
         assert inv.big_i == 0
-        for line in solve_homogeneous(conic, inv):
+        for line in solve_degenerate(conic, inv):
             assert line.solvable and line.base == (0, 0)
             assert gcd(line.direction[0], line.direction[1]) == 1
-
-
-def test_homogeneous_agrees_with_degenerate_as_sets():
-    for seed in range(400):
-        conic = random_valid_conic(seed)
-        if conic.delta or conic.epsilon or conic.j:
-            continue
-        inv = invariants_of(conic)
-        hom = {_primitive_line(l) for l in solve_homogeneous(conic, inv)}
-        gen = {_primitive_line(l) for l in solve_degenerate(conic, inv)}
-        assert hom == gen
-
-
-def test_solve_homogeneous_rejects_inhomogeneous():
-    conic, inv = validate(*GOLDEN)
-    with pytest.raises(ValueError, match="homogeneous"):
-        solve_homogeneous(conic, inv)
 
 
 # ---------------------------------------------------------------------------
