@@ -35,7 +35,6 @@ from .solver import (
     solve_difference_of_squares,
 )
 
-_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "j")
 _INT_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
 
 
@@ -64,13 +63,12 @@ def _conic_from_args(args: argparse.Namespace) -> tuple[Conic, Invariants]:
             parser.error(f"cannot read {args.input}: {exc}")
         except json.JSONDecodeError as exc:
             parser.error(f"invalid JSON in {args.input}: {exc}")
-        if not isinstance(doc, dict) or set(doc) != set(_FIELDS):
+        if not isinstance(doc, dict) or set(doc) != set(Conic._fields):
             parser.error(
-                "conic document needs exactly the keys "
-                "alpha, beta, gamma, delta, epsilon, j"
+                "conic document needs exactly the keys " + ", ".join(Conic._fields)
             )
         values = []
-        for field in _FIELDS:
+        for field in Conic._fields:
             raw = doc[field]
             if not isinstance(raw, str) or not _INT_RE.match(raw):
                 parser.error(
@@ -79,7 +77,7 @@ def _conic_from_args(args: argparse.Namespace) -> tuple[Conic, Invariants]:
             values.append(int(raw))
     else:
         if len(args.coefficients) != 6:
-            parser.error("expected six coefficients: alpha beta gamma delta epsilon j")
+            parser.error("expected six coefficients: " + " ".join(Conic._fields))
         values = args.coefficients
     return validate(*values)
 
@@ -124,7 +122,7 @@ def _inv_block(inv: Invariants) -> dict:
 
 
 def _conic_doc(conic: Conic) -> dict:
-    return {field: str(getattr(conic, field)) for field in _FIELDS}
+    return dict(zip(Conic._fields, map(str, conic)))
 
 
 def _line_doc(line: ParamLine) -> dict:
@@ -299,10 +297,7 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
     if args.format == "json":
         out = _finite_json(invariants_of(conic), points, conic=_conic_doc(conic))
     else:
-        out = (
-            f"conic: {conic.alpha} {conic.beta} {conic.gamma} "
-            f"{conic.delta} {conic.epsilon} {conic.j}\n" + _points_text(points)
-        )
+        out = "conic: " + " ".join(map(str, conic)) + "\n" + _points_text(points)
     sys.stdout.write(out)
     return 0
 
@@ -414,25 +409,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # Coefficients are decimal integers of any size; since Python 3.10.7,
-    # str() and int() refuse integers over 4,300 digits by default.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # str() and int() refuse integers over 4,300 digits by default.  The
+    # limit is lifted while main runs and restored on every exit.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cap_text = os.environ.get("CONIC_DIVISOR_CAP")
-    if cap_text is not None and cap_text != "":
-        if not _INT_RE.match(cap_text) or int(cap_text) < 1:
-            parser.error(
-                f"CONIC_DIVISOR_CAP must be a positive integer, got {cap_text!r}"
-            )
-        args.divisor_cap = int(cap_text)
-    else:
-        args.divisor_cap = None
     try:
-        return args.handler(args)
-    except ValueError as exc:
-        # ConicError and the closed forms' argument checks
-        return _emit_invalid(args, exc)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        cap_text = os.environ.get("CONIC_DIVISOR_CAP")
+        if cap_text is not None and cap_text != "":
+            if not _INT_RE.match(cap_text) or int(cap_text) < 1:
+                parser.error(
+                    f"CONIC_DIVISOR_CAP must be a positive integer, got {cap_text!r}"
+                )
+            args.divisor_cap = int(cap_text)
+        else:
+            args.divisor_cap = None
+        try:
+            return args.handler(args)
+        except ValueError as exc:
+            # ConicError and the closed forms' argument checks
+            return _emit_invalid(args, exc)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

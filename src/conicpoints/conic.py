@@ -30,7 +30,6 @@ lines F1 = 0 and F2 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateAlpha, DegenerateGamma, NotFactorable
@@ -42,8 +41,7 @@ class LatticePoint(NamedTuple):
     y: int
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(NamedTuple):
     """Coefficients of alpha*x^2 + beta*xy + gamma*y^2 + delta*x + epsilon*y + j."""
 
     alpha: int
@@ -65,8 +63,7 @@ class Conic:
         )
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """Derived quantities fixed by the coefficients.
 
     k        positive square root of beta^2 - 4*alpha*gamma
@@ -82,8 +79,7 @@ class Invariants:
     m: int
 
 
-@dataclass(frozen=True)
-class FactorForm:
+class FactorForm(NamedTuple):
     """Integer linear form cx*x + cy*y + c0."""
 
     cx: int
@@ -102,32 +98,31 @@ class FactorForm:
 def validate(
     alpha: int, beta: int, gamma: int, delta: int, epsilon: int, j: int
 ) -> tuple[Conic, Invariants]:
+    """The conic with these coefficients and its invariants (see invariants_of)."""
+    conic = Conic(alpha, beta, gamma, delta, epsilon, j)
+    return conic, invariants_of(conic)
+
+
+def invariants_of(conic: Conic) -> Invariants:
     """Check admissibility and compute the invariants.
 
     Rejects alpha == 0, gamma == 0, and any discriminant beta^2 - 4*alpha*gamma
     that is not a positive perfect square.  k = 0 (a parabolic case) is
     rejected too: the method needs two distinct rational line directions.
     """
+    alpha, beta, gamma, delta, epsilon, j = conic
     if alpha == 0:
         raise DegenerateAlpha("alpha must be nonzero")
     if gamma == 0:
         raise DegenerateGamma("gamma must be nonzero")
-    disc = beta * beta - 4 * alpha * gamma
-    k = integer_sqrt(disc) if disc > 0 else None
-    if k is None or k < 1:
+    k2 = beta * beta - 4 * alpha * gamma
+    k = integer_sqrt(k2)
+    if not k:
         raise NotFactorable(
-            f"beta^2 - 4*alpha*gamma = {disc} is not a positive perfect square"
+            f"beta^2 - 4*alpha*gamma = {k2} is not a positive perfect square"
         )
-    conic = Conic(alpha, beta, gamma, delta, epsilon, j)
-    return conic, invariants_of(conic)
-
-
-def invariants_of(conic: Conic) -> Invariants:
-    """Invariants from raw coefficients; assumes the conic was validated."""
-    k2 = conic.beta * conic.beta - 4 * conic.alpha * conic.gamma
-    k = math.isqrt(k2)
-    m = 2 * conic.alpha * conic.epsilon - conic.beta * conic.delta
-    delta_q = conic.delta * conic.delta - 4 * conic.alpha * conic.j
+    m = 2 * alpha * epsilon - beta * delta
+    delta_q = delta * delta - 4 * alpha * j
     return Invariants(k=k, big_i=k2 * delta_q - m * m, delta_q=delta_q, m=m)
 
 

@@ -8,8 +8,7 @@ only shared ingredient with the solver is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conic import Conic, Invariants, LatticePoint, invariants_of, validate
 from .intmath import ceil_div, positive_divisors
@@ -29,8 +28,7 @@ ROW_BUDGET = 1 << 22
 POINT_BUDGET = 1 << 18
 
 
-@dataclass(frozen=True)
-class SearchBound:
+class SearchBound(NamedTuple):
     bx: int
     by: int
 
@@ -174,6 +172,8 @@ def random_valid_conic(
     zeroes delta, epsilon and j to force degenerate (big_i = 0) instances
     into the stream.
     """
+    import random  # here, not at the top: solving never draws
+
     rng = random.Random(seed)
     while True:
         k = rng.randint(1, max_bk)

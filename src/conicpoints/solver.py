@@ -19,8 +19,8 @@ F2 = 0, each an ordinary linear Diophantine equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .conic import (
     Conic,
@@ -34,8 +34,7 @@ from .conic import (
 from .intmath import ceil_div, extended_gcd, is_prime, positive_divisors
 
 
-@dataclass(frozen=True)
-class ParamLine:
+class ParamLine(NamedTuple):
     """Integral solutions of a*x + b*y = c, parametrized when solvable.
 
     The line is solvable exactly when base is not None; the solutions are
@@ -85,13 +84,11 @@ class ParamLine:
         return [self.point_at(t) for t in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True)
-class FiniteSolutions:
+class FiniteSolutions(NamedTuple):
     points: tuple[LatticePoint, ...]
 
 
-@dataclass(frozen=True)
-class LinePair:
+class LinePair(NamedTuple):
     lines: tuple[ParamLine, ParamLine]
 
 
@@ -100,8 +97,7 @@ SolutionSet = FiniteSolutions | LinePair
 MOD4_OBSTRUCTION = "mod4-obstruction"
 
 
-@dataclass(frozen=True)
-class SquareSplitResult:
+class SquareSplitResult(NamedTuple):
     """Outcome for the pure difference-of-squares family.
 
     ``obstruction`` is set (and points empty) when emptiness follows from a

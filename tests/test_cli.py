@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import random
@@ -414,6 +413,20 @@ def test_coefficients_past_the_int_str_digit_limit(capsys):
     assert json.loads(out)["error"]["code"] == "divisor-limit"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_main_restores_the_int_str_digit_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "invariants", *GOLDEN_ARGS)[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["invariants", "1.5", *GOLDEN_ARGS[1:]])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 # ---------------------------------------------------------------------------
 # JSON bytes: every document is json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -494,7 +507,7 @@ def test_json_error_message_escaped(capsys, monkeypatch):
 @given(seed=st.integers(0, 2**32), no_reduce=st.booleans())
 def test_solve_json_bytes_random_conics(seed, no_reduce):
     conic = random_valid_conic(seed)
-    coeffs = [str(v) for v in dataclasses.astuple(conic)]
+    coeffs = [str(v) for v in tuple(conic)]
     flags = ["--no-reduce"] if no_reduce else []
     doc = assert_canonical_json(main_stdout(["solve", "--format", "json", *flags, *coeffs]))
     result = solve(conic)
@@ -508,7 +521,7 @@ def test_solve_json_bytes_planted_target():
     tau = 6720
     target = 2**6 * 3**4 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23
     conic, _ = _planted_target_conic(random.Random(7), target)
-    coeffs = [str(v) for v in dataclasses.astuple(conic)]
+    coeffs = [str(v) for v in tuple(conic)]
     doc = assert_canonical_json(main_stdout(["solve", "--format", "json", *coeffs]))
     points = solve(conic).points
     assert len(points) == 2 * tau

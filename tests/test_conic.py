@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conicpoints import (
+    Conic,
     DegenerateAlpha,
     DegenerateGamma,
     FactorForm,
@@ -13,6 +14,8 @@ from conicpoints import (
     factor_forms,
     invariants_of,
     random_valid_conic,
+    solution_bound,
+    solve,
     validate,
 )
 
@@ -50,6 +53,24 @@ def test_validate_rejections():
     # discriminant 0 (perfect square but k must be >= 1)
     with pytest.raises(NotFactorable):
         validate(1, 2, 1, 3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        ((1, 0, -2, 0, 0, -1), NotFactorable),  # Pell conic x^2 - 2y^2 = 1
+        ((0, 1, 0, 0, 0, -1), DegenerateAlpha),
+        ((1, 1, 0, 0, 0, -1), DegenerateGamma),
+        ((1, 1, 1, 0, 0, -1), NotFactorable),  # discriminant -3
+        ((1, 2, 1, 3, 4, 5), NotFactorable),  # discriminant 0
+    ],
+)
+def test_hand_built_conic_meets_the_admissibility_gate(coeffs, error):
+    conic = Conic(*coeffs)
+    with pytest.raises(error):
+        solve(conic)
+    with pytest.raises(error):
+        solution_bound(conic)
 
 
 def test_evaluate():

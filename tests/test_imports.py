@@ -1,8 +1,12 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and the CLI
+imports no module that only records or sampling need."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import conicpoints
@@ -43,3 +47,13 @@ def test_no_dead_imports():
         if (found := _dead_imports(path.read_text(encoding="utf-8")))
     }
     assert dead == {}
+
+
+def test_cli_import_leaves_out_dataclasses_and_random():
+    # -S keeps site hooks (.pth files) from importing modules of their own
+    code = "import sys, conicpoints.cli; print(sorted({'dataclasses', 'random'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
