@@ -24,12 +24,7 @@ from .errors import (
     DivisorLimitExceeded,
     NotFactorable,
 )
-from .intmath import (
-    DEFAULT_DIVISOR_CAP,
-    extended_gcd,
-    integer_sqrt,
-    positive_divisors,
-)
+from .intmath import extended_gcd, integer_sqrt, positive_divisors
 from .oracle import SearchBound, brute_force, random_valid_conic, solution_bound
 from .solver import (
     MOD4_OBSTRUCTION,
@@ -50,7 +45,6 @@ from .solver import (
 __all__ = [
     "Conic",
     "ConicError",
-    "DEFAULT_DIVISOR_CAP",
     "DegenerateAlpha",
     "DegenerateGamma",
     "DivisorLimitExceeded",

@@ -38,8 +38,9 @@ class NotFactorable(ConicError):
 class DivisorLimitExceeded(ConicError):
     """Divisor enumeration was refused.
 
-    Either the number is above the configured cap, or one of its cofactors
-    was not split within the factoring budget; the message names which.
+    The number is above a cap given for it, one of its cofactors was not
+    split within the factoring budget, or it has more divisors than the
+    point budget allows; the message names which.
     """
 
     code = "divisor-limit"

@@ -10,12 +10,14 @@ import math
 
 from .errors import DivisorLimitExceeded
 
-# Largest |n| whose divisors positive_divisors lists; overridable per call
-# and via CONIC_DIVISOR_CAP in the CLI.  Factoring does not limit it: below
-# the cap every composite cofactor has a prime factor under 10^7, which rho
-# finds far inside _RHO_BUDGET.  The cap bounds how large a number, and so
-# how long an answer, a solve takes on.
-DEFAULT_DIVISOR_CAP = 10**14
+# Points an answer may have: a finite solve tries one per signed divisor,
+# so positive_divisors refuses more than POINT_BUDGET / 2 divisors before
+# building any, and a line pair's box under --check or oracle (two points a
+# row) is refused with exit code 5 past it.  At the edges, on a 2-vCPU
+# x86-64 machine with Python 3.11, `solve --format json` on the target
+# 3*5*...*61 took 1.1 s of CPU time, 16 MB of output and 115 MB peak, and
+# `solve --check --bound 65535 1 0 -1 0 0 0` 1.2-1.5 s and 46 MB.
+POINT_BUDGET = 1 << 18
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
 # prime factor below 2^10, so any cofactor of it below 2^20 is prime.
@@ -27,10 +29,13 @@ _SMALL_LIMIT = 1 << 10
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 
-# Squarings Brent's rho may spend in one positive_divisors call.  Splitting
-# psi_12 takes 450,558 of them; two prime factors near 10^15, or a probable
-# prime at or above psi_12 (which rho can never split), exhaust the budget
-# in under a second.
+# Work Brent's rho may spend in one positive_divisors call, in steps on a
+# 128-bit operand.  A step on an n-bit operand costs ceil(n/128)^2 of them:
+# multiplying and reducing modulo n take time at most quadratic in n's
+# size, so no operand size stretches the budget.  Splitting psi_12 takes
+# 450,558 steps at 79 bits.  On the machine above, running the budget out
+# took at most 0.46 s (on a 128-bit prime); on the operands tried from 129
+# bits to 4,400 digits it took at most 0.16 s.
 _RHO_BUDGET = 1 << 19
 # Differences multiplied together between two gcds in Brent's loop.
 _RHO_BATCH = 128
@@ -120,15 +125,16 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     Pollard's rho with Brent's cycle finding (Brent 1980), made
     deterministic: start at 2 with f(x) = x^2 + c, taking c = 1, 2, ... in
     turn whenever the cycle closes modulo n itself (g == n).  A round that
-    could take the squarings spent past ``budget`` is not started; the
-    factor is then None.
+    could take the work spent past ``budget`` is not started; the factor
+    is then None.  Each step costs ceil(bits/128)^2 units of ``budget``.
     """
+    cost = ceil_div(n.bit_length(), 128) ** 2
     c = 0
     while True:
         c += 1
         y, q, g, r = 2, 1, 1, 1
         while g == 1:
-            if 2 * r > budget:
+            if 2 * r * cost > budget:
                 return None, budget
             x = y
             for _ in range(r):
@@ -141,7 +147,7 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += _RHO_BATCH
-            budget -= r + min(k, r)
+            budget -= (r + min(k, r)) * cost
             r *= 2
         if g == n:
             # The batch overshot; replay it one gcd at a time.
@@ -181,7 +187,7 @@ def _factorize(n: int) -> dict[int, int]:
         if d is None:
             raise DivisorLimitExceeded(
                 f"the cofactor {m} of {n} was not split within "
-                f"{_RHO_BUDGET} rho steps"
+                f"{_RHO_BUDGET} rho steps of 128 bits"
             )
         pending += (d, m // d)
     return factors
@@ -193,20 +199,25 @@ def positive_divisors(n: int, cap: int | None = None) -> list[int]:
     Factors |n| first (small primes, then Miller-Rabin and Brent's rho on
     what is left) and builds the divisors from the prime powers, so the
     cost follows the size of the prime factors and the divisor count, not
-    sqrt(|n|).  ``n == 0`` is rejected (every integer divides zero), as is
-    |n| above the cap and a cofactor rho does not split within its budget.
+    sqrt(|n|).  ``n == 0`` is rejected (every integer divides zero), and
+    DivisorLimitExceeded is raised for |n| above ``cap`` when one is
+    given, for a cofactor rho does not split within its budget, and for
+    more than POINT_BUDGET / 2 divisors.
     """
     if n == 0:
         raise ValueError("0 has no finite divisor list")
-    if cap is None:
-        cap = DEFAULT_DIVISOR_CAP
     n = abs(n)
-    if n > cap:
+    if cap is not None and n > cap:
+        raise DivisorLimitExceeded(f"|{n}| exceeds the divisor enumeration cap {cap}")
+    factors = _factorize(n)
+    tau = math.prod(e + 1 for e in factors.values())
+    if 2 * tau > POINT_BUDGET:
         raise DivisorLimitExceeded(
-            f"|{n}| exceeds the divisor enumeration cap {cap}"
+            f"|{n}| has {tau} divisors, {2 * tau} signed, over the point "
+            f"budget of {POINT_BUDGET}"
         )
     divisors = [1]
-    for p, e in _factorize(n).items():
+    for p, e in factors.items():
         powers = [p**i for i in range(1, e + 1)]
         divisors += [d * q for q in powers for d in divisors]
     divisors.sort()

@@ -19,8 +19,8 @@ F2 = 0, each an ordinary linear Diophantine equation.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import NamedTuple
+from itertools import count, islice, repeat
+from typing import Iterator, NamedTuple
 
 from .conic import (
     Conic,
@@ -31,7 +31,7 @@ from .conic import (
     invariants_of,
     validate,
 )
-from .intmath import ceil_div, extended_gcd, is_prime, positive_divisors
+from .intmath import ceil_div, extended_gcd, positive_divisors
 
 
 class ParamLine(NamedTuple):
@@ -63,15 +63,17 @@ class ParamLine(NamedTuple):
             self.base.y + t * self.direction[1],
         )
 
-    def points_in_box(self, bx: int, by: int) -> list[LatticePoint]:
-        """The line's integral points with |x| <= bx and |y| <= by, sorted."""
+    def box_points(self, bx: int, by: int) -> Iterator[tuple[int, int]]:
+        """The line's integral points with |x| <= bx and |y| <= by, made one
+        at a time as plain (x, y) tuples.  They come in (x, y) order: the
+        direction's first nonzero component is positive."""
         if self.base is None:
-            return []
+            return iter(())
         lo, hi = None, None
         for c0, d, lim in zip(self.base, self.direction, (bx, by)):
             if d == 0:
                 if abs(c0) > lim:
-                    return []
+                    return iter(())
                 continue
             if d < 0:
                 c0, d = -c0, -d
@@ -79,9 +81,12 @@ class ParamLine(NamedTuple):
             t_lo, t_hi = ceil_div(-lim - c0, d), (lim - c0) // d
             lo = t_lo if lo is None else max(lo, t_lo)
             hi = t_hi if hi is None else min(hi, t_hi)
-        # the direction's first nonzero component is positive, so t order
-        # is (x, y) order
-        return [self.point_at(t) for t in range(lo, hi + 1)]
+        (x0, y0), (dx, dy) = self.point_at(lo), self.direction
+        return islice(zip(count(x0, dx), count(y0, dy)), max(0, hi - lo + 1))
+
+    def points_in_box(self, bx: int, by: int) -> list[LatticePoint]:
+        """The line's integral points with |x| <= bx and |y| <= by, sorted."""
+        return list(map(LatticePoint._make, self.box_points(bx, by)))
 
 
 class FiniteSolutions(NamedTuple):
@@ -221,17 +226,11 @@ def solve_difference_of_squares(
 ) -> SquareSplitResult:
     """Integral points of l^2*x^2 - m^2*y^2 + j = 0, i.e. (lx-my)(lx+my) = -j.
 
-    Closed forms for the classic right-hand sides:
-
-      -j = 1:            (+-1, 0) when l == 1, else empty
-      -j = p odd prime:  (+-(p+1)/(2l), +-(p-1)/(2m)) when 2l | p+1 and
-                         2m | p-1, else empty
-      -j = 2 (mod 4):    empty; a product (lx-my)(lx+my) of two integers of
-                         equal parity is odd or divisible by 4
-
-    Any other nonzero j falls through to the general divisor solver on the
-    modeled conic.  j = 0 is rejected: that is the degenerate line pair
-    lx = +-my, not a finite set.
+    When -j = 2 (mod 4) the set is empty by a congruence: a product
+    (lx-my)(lx+my) of two integers of equal parity is odd or divisible by
+    4.  That obstruction is reported; any other nonzero j goes to the
+    general divisor solver on the modeled conic.  j = 0 is rejected: that
+    is the degenerate line pair lx = +-my, not a finite set.
     """
     if l <= 0 or m <= 0:
         raise ValueError("l and m must be positive")
@@ -239,24 +238,8 @@ def solve_difference_of_squares(
         raise ValueError(
             "j = 0 degenerates to the line pair l*x = +-m*y; use solve instead"
         )
-    c = -j
-    if c % 4 == 2:
+    if -j % 4 == 2:
         return SquareSplitResult((), MOD4_OBSTRUCTION)
-    if c == 1:
-        if l == 1:
-            return SquareSplitResult((LatticePoint(-1, 0), LatticePoint(1, 0)))
-        return SquareSplitResult(())
-    # is_prime is exact only below psi_12; psi_12 itself, a strong
-    # pseudoprime, still takes the closed form and loses half its points.
-    if c > 2 and c % 2 and is_prime(c):
-        if (c + 1) % (2 * l) == 0 and (c - 1) % (2 * m) == 0:
-            px = (c + 1) // (2 * l)
-            py = (c - 1) // (2 * m)
-            pts = sorted(
-                LatticePoint(sx * px, sy * py) for sx in (-1, 1) for sy in (-1, 1)
-            )
-            return SquareSplitResult(tuple(pts))
-        return SquareSplitResult(())
     conic, inv = validate(l * l, 0, -m * m, 0, 0, j)
     pts = solve_finite(conic, inv, divisor_cap=divisor_cap)
     return SquareSplitResult(tuple(pts))

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conicpoints import ConicError, FiniteSolutions, LatticePoint, random_valid_conic, solve
+from conicpoints import (
+    ConicError,
+    FiniteSolutions,
+    LatticePoint,
+    LinePair,
+    random_valid_conic,
+    solve,
+)
 from conicpoints.cli import main
 from test_solver import _planted_target_conic
 
@@ -168,7 +175,7 @@ def test_oracle_row_budget_edge(capsys):
 
 
 def test_line_pair_point_budget_edge(capsys):
-    from conicpoints.oracle import POINT_BUDGET
+    from conicpoints.intmath import POINT_BUDGET
 
     # (3x + 3y + 1)(3x - 3y + 2) = 0 has no lattice point, so the accepted
     # side scans its rows quickly and prints nothing
@@ -204,6 +211,58 @@ def test_solve_check_lines_with_bound(capsys):
     )
     assert code == 0
     assert err == ""
+
+
+def _tamper_first_line(monkeypatch, change):
+    """Make the CLI's solve apply ``change`` to the first line of a pair."""
+    import conicpoints.cli as cli_mod
+
+    def tampered(conic, **kwargs):
+        first, second = solve(conic, **kwargs).lines
+        return LinePair((change(first), second))
+
+    monkeypatch.setattr(cli_mod, "solve", tampered)
+
+
+def test_solve_check_detects_line_with_doubled_direction(capsys, monkeypatch):
+    # the x = y line of x^2 - y^2 = 0 stepping by (2, 2) skips every other point
+    _tamper_first_line(monkeypatch, lambda line: line._replace(direction=(2, 2)))
+    code, _, err = run_cli(
+        capsys, "solve", "--check", "--bound", "3", "1", "0", "-1", "0", "0", "0"
+    )
+    assert code == 3
+    assert err.splitlines() == [
+        "error: solver and oracle disagree within box (bx=3, by=3)",
+        "only the solver found 0",
+        "only the oracle found 4: (-3,-3) (-1,-1) (1,1) (3,3)",
+    ]
+
+
+def test_solve_check_detects_line_base_off_the_line(capsys, monkeypatch):
+    # base (1, 0) moves the x = y line to x = y + 1
+    _tamper_first_line(monkeypatch, lambda line: line._replace(base=LatticePoint(1, 0)))
+    code, _, err = run_cli(
+        capsys, "solve", "--check", "--bound", "3", "1", "0", "-1", "0", "0", "0"
+    )
+    assert code == 3
+    assert err.splitlines() == [
+        "error: solver and oracle disagree within box (bx=3, by=3)",
+        "only the solver found 6: (-2,-3) (-1,-2) (0,-1) (1,0) (2,1) and 1 more",
+        "only the oracle found 6: (-3,-3) (-2,-2) (-1,-1) (1,1) (2,2) and 1 more",
+    ]
+
+
+def test_solve_check_detects_line_point_missing_from_oracle(capsys, monkeypatch):
+    import conicpoints.cli as cli_mod
+
+    # the oracle's points, all but the last, are a prefix of the solver's
+    true_brute_force = cli_mod.brute_force
+    monkeypatch.setattr(cli_mod, "brute_force", lambda *args: true_brute_force(*args)[:-1])
+    code, _, err = run_cli(
+        capsys, "solve", "--check", "--bound", "3", "1", "0", "-1", "0", "0", "0"
+    )
+    assert code == 3
+    assert err.splitlines()[1:] == ["only the solver found 1: (3,3)", "only the oracle found 0"]
 
 
 # ---------------------------------------------------------------------------

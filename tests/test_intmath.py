@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from conicpoints import (
     integer_sqrt,
     positive_divisors,
 )
-from conicpoints.intmath import ceil_div, is_prime
+from conicpoints.intmath import POINT_BUDGET, ceil_div, is_prime
 
 
 def test_integer_sqrt_basics():
@@ -120,14 +121,34 @@ def test_positive_divisors_rejects_zero_and_cap():
     with pytest.raises(ValueError, match="divisor"):
         positive_divisors(0)
     with pytest.raises(DivisorLimitExceeded, match="cap"):
-        positive_divisors(10**15)
-    with pytest.raises(DivisorLimitExceeded):
         positive_divisors(101, cap=100)
     assert positive_divisors(100, cap=100)[-1] == 100
+    # no cap unless one is given: 2^50 * 3 is past 10^14
+    assert positive_divisors(2**50 * 3) == _from_factors({2: 50, 3: 1})
 
 
-# Factorizations near the default cap of 10^14: each would take trial
-# division about a second.
+SMALL_PRIMES_TO_61 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def test_positive_divisors_point_budget():
+    # 2*3*5*...*61 has 2^18 divisors, so its 2^19 signed ones (one
+    # candidate point each) are past POINT_BUDGET; without the 2 they are
+    # exactly at it
+    n = math.prod(SMALL_PRIMES_TO_61)
+    assert 2 ** len(SMALL_PRIMES_TO_61) == POINT_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(DivisorLimitExceeded, match="262144 divisors"):
+            positive_divisors(n)
+        # 2^18 divisors would take megabytes; none was built
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+    assert len(positive_divisors(n // 2)) == POINT_BUDGET // 2
+
+
+# Factorizations up to 10^14, the largest targets the benchmark times: each
+# would take trial division about a second.
 NEAR_CAP = [
     {70000000000009: 1},  # prime
     {8366609: 1, 8367641: 1},  # balanced semiprime
@@ -192,3 +213,20 @@ def test_positive_divisors_rho_budget(n):
     with pytest.raises(DivisorLimitExceeded, match=f"cofactor {n} "):
         positive_divisors(n, cap=10**40)
     assert time.perf_counter() - start < 2
+
+
+def _next_probable_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_positive_divisors_rho_budget_grows_with_size():
+    # rho's steps are charged by operand size, so a 400-digit semiprime
+    # runs the budget out in a fraction of a second, not minutes
+    n = _next_probable_prime(10**199) * _next_probable_prime(10**200)
+    assert len(str(n)) == 400
+    start = time.process_time()
+    with pytest.raises(DivisorLimitExceeded, match="rho steps"):
+        positive_divisors(n)
+    assert time.process_time() - start < 1

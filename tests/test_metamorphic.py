@@ -10,8 +10,13 @@ accepts.
 
 from __future__ import annotations
 
+import math
+import random
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_solver import _planted_target_conic
 
 from conicpoints import (
     ConicError,
@@ -211,3 +216,27 @@ def test_planted_power_of_two_target_moved_far():
     assert len(checked_solve(coeffs).points) == 38
     assert_maps_onto(coeffs, phi)
     assert_maps_onto(image(coeffs, phi), shear_y(10**15))
+
+
+# Reduced targets of 20 to 30 digits, products of primes below psi_12 (so
+# each factor is proven prime) that rho splits well inside its budget.
+PLANTED_LARGE = [
+    (1, {1000000007: 1, 999999999989: 1}),
+    (-1, {1000003: 1, 998244353: 1, 1000000007: 1, 1000033: 1}),
+    # tau = 1536
+    (1, {2: 3, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 1000003: 1, 1000000007: 1}),
+]
+
+
+@pytest.mark.parametrize("sign, factors", PLANTED_LARGE)
+def test_planted_large_target_moved_far(sign, factors):
+    target = sign * math.prod(p**e for p, e in factors.items())
+    assert 20 <= len(str(abs(target))) <= 30
+    conic, _ = _planted_target_conic(random.Random(11), target)
+    coeffs = coeffs_of(conic)
+    # every signed divisor of the target gives one point
+    tau = math.prod(e + 1 for e in factors.values())
+    assert len(checked_solve(coeffs).points) == 2 * tau
+    phi = translation(10**20, -3 * 10**19)
+    assert_maps_onto(coeffs, phi)
+    assert_maps_onto(image(coeffs, phi), shear_x(10**15))

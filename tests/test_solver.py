@@ -366,11 +366,6 @@ def test_square_difference_matches_general_solver():
         assert list(res.points) == solve_finite(conic, inv)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="psi_12 is a strong pseudoprime to bases 2..37, so is_prime sends "
-    "it down the odd-prime closed form, which finds 4 of the 8 points",
-)
 def test_square_difference_psi12():
     p, q = 399165290221, 798330580441
     psi12 = p * q
