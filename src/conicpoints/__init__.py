@@ -31,7 +31,6 @@ from .solver import (
     FiniteSolutions,
     LinePair,
     ParamLine,
-    SolutionSet,
     SquareSplitResult,
     power_of_two_conic,
     power_of_two_points,
@@ -57,7 +56,6 @@ __all__ = [
     "NotFactorable",
     "ParamLine",
     "SearchBound",
-    "SolutionSet",
     "SquareSplitResult",
     "brute_force",
     "content_reduce",

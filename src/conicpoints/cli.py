@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from heapq import merge
@@ -257,7 +256,7 @@ def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     conic, inv = _conic_from_args(args)
-    result = solve(conic, reduce=not args.no_reduce, divisor_cap=args.divisor_cap)
+    result = solve(conic, reduce=not args.no_reduce)
     json_format = args.format == "json"
     if isinstance(result, FiniteSolutions):
         out = _finite_json(inv, result.points) if json_format else _points_text(result.points)
@@ -313,9 +312,7 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_sumform(args: argparse.Namespace) -> int:
-    result = solve_difference_of_squares(
-        args.l, args.m, args.j, divisor_cap=args.divisor_cap
-    )
+    result = solve_difference_of_squares(args.l, args.m, args.j)
     _, inv = validate(args.l * args.l, 0, -args.m * args.m, 0, 0, args.j)
     if args.format == "json":
         extra = {} if result.obstruction is None else {"obstruction": result.obstruction}
@@ -426,15 +423,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        cap_text = os.environ.get("CONIC_DIVISOR_CAP")
-        if cap_text is not None and cap_text != "":
-            if not _INT_RE.match(cap_text) or int(cap_text) < 1:
-                parser.error(
-                    f"CONIC_DIVISOR_CAP must be a positive integer, got {cap_text!r}"
-                )
-            args.divisor_cap = int(cap_text)
-        else:
-            args.divisor_cap = None
         try:
             return args.handler(args)
         except ValueError as exc:

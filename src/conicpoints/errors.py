@@ -38,9 +38,9 @@ class NotFactorable(ConicError):
 class DivisorLimitExceeded(ConicError):
     """Divisor enumeration was refused.
 
-    The number is above a cap given for it, one of its cofactors was not
-    split within the factoring budget, or it has more divisors than the
-    point budget allows; the message names which.
+    One of the number's cofactors was not split within the factoring
+    budget, or the number has more divisors than the point budget allows;
+    the message names which.
     """
 
     code = "divisor-limit"

@@ -193,22 +193,19 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def positive_divisors(n: int, cap: int | None = None) -> list[int]:
+def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
     Factors |n| first (small primes, then Miller-Rabin and Brent's rho on
     what is left) and builds the divisors from the prime powers, so the
     cost follows the size of the prime factors and the divisor count, not
     sqrt(|n|).  ``n == 0`` is rejected (every integer divides zero), and
-    DivisorLimitExceeded is raised for |n| above ``cap`` when one is
-    given, for a cofactor rho does not split within its budget, and for
-    more than POINT_BUDGET / 2 divisors.
+    DivisorLimitExceeded is raised for a cofactor rho does not split
+    within its budget and for more than POINT_BUDGET / 2 divisors.
     """
     if n == 0:
         raise ValueError("0 has no finite divisor list")
     n = abs(n)
-    if cap is not None and n > cap:
-        raise DivisorLimitExceeded(f"|{n}| exceeds the divisor enumeration cap {cap}")
     factors = _factorize(n)
     tau = math.prod(e + 1 for e in factors.values())
     if 2 * tau > POINT_BUDGET:

@@ -84,10 +84,6 @@ class ParamLine(NamedTuple):
         (x0, y0), (dx, dy) = self.point_at(lo), self.direction
         return islice(zip(count(x0, dx), count(y0, dy)), max(0, hi - lo + 1))
 
-    def points_in_box(self, bx: int, by: int) -> list[LatticePoint]:
-        """The line's integral points with |x| <= bx and |y| <= by, sorted."""
-        return list(map(LatticePoint._make, self.box_points(bx, by)))
-
 
 class FiniteSolutions(NamedTuple):
     points: tuple[LatticePoint, ...]
@@ -96,8 +92,6 @@ class FiniteSolutions(NamedTuple):
 class LinePair(NamedTuple):
     lines: tuple[ParamLine, ParamLine]
 
-
-SolutionSet = FiniteSolutions | LinePair
 
 MOD4_OBSTRUCTION = "mod4-obstruction"
 
@@ -113,23 +107,17 @@ class SquareSplitResult(NamedTuple):
     obstruction: str | None = None
 
 
-def solve(
-    conic: Conic, *, reduce: bool = True, divisor_cap: int | None = None
-) -> SolutionSet:
+def solve(conic: Conic, *, reduce: bool = True) -> FiniteSolutions | LinePair:
     """Dispatch on the invariant of the original (unreduced) coefficients."""
     inv = invariants_of(conic)
     if inv.big_i == 0:
         return LinePair(solve_degenerate(conic, inv))
-    pts = solve_finite(conic, inv, reduce=reduce, divisor_cap=divisor_cap)
+    pts = solve_finite(conic, inv, reduce=reduce)
     return FiniteSolutions(tuple(pts))
 
 
 def solve_finite(
-    conic: Conic,
-    inv: Invariants,
-    *,
-    reduce: bool = True,
-    divisor_cap: int | None = None,
+    conic: Conic, inv: Invariants, *, reduce: bool = True
 ) -> list[LatticePoint]:
     """All integral points when big_i != 0, sorted by (x, y).
 
@@ -164,7 +152,7 @@ def solve_finite(
     if target < 0:
         # s2 = -e: fold the sign into the two coefficients that multiply s2
         a1, b1 = -a1, -b1
-    divisors = positive_divisors(target, cap=divisor_cap)
+    divisors = positive_divisors(target)
     plus, minus = [], []
     for d, e in zip(divisors, reversed(divisors)):
         u = b2 * d - b1 * e
@@ -221,9 +209,7 @@ def solve_degenerate(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLin
     )
 
 
-def solve_difference_of_squares(
-    l: int, m: int, j: int, *, divisor_cap: int | None = None
-) -> SquareSplitResult:
+def solve_difference_of_squares(l: int, m: int, j: int) -> SquareSplitResult:
     """Integral points of l^2*x^2 - m^2*y^2 + j = 0, i.e. (lx-my)(lx+my) = -j.
 
     When -j = 2 (mod 4) the set is empty by a congruence: a product
@@ -241,7 +227,7 @@ def solve_difference_of_squares(
     if -j % 4 == 2:
         return SquareSplitResult((), MOD4_OBSTRUCTION)
     conic, inv = validate(l * l, 0, -m * m, 0, 0, j)
-    pts = solve_finite(conic, inv, divisor_cap=divisor_cap)
+    pts = solve_finite(conic, inv)
     return SquareSplitResult(tuple(pts))
 
 
@@ -251,8 +237,8 @@ def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
     With alpha = 1, gamma = (beta^2 - 1)/4 (beta odd, beta != +-1) the
     discriminant is beta^2 - 4*gamma = 1, so k = 1 and
     I = delta^2 - 4*j - (2*epsilon - beta*delta)^2.  Solving I = 2^n for the
-    constant term gives j = (delta^2 - M^2 - 2^n)/4, which is an integer for
-    every odd beta and n >= 2.
+    constant term gives j = (delta^2 - M^2 - 2^n)/4, an integer for every
+    odd beta and n >= 2: delta - M and delta + M are both even.
     """
     if beta % 2 == 0:
         raise ValueError("beta must be odd")
@@ -262,8 +248,6 @@ def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
         raise ValueError("n must be at least 2")
     m0 = 2 * epsilon - beta * delta
     num = delta * delta - m0 * m0 - (1 << n)
-    if num % 4:
-        raise ValueError("constant term is not an integer")
     gamma = (beta * beta - 1) // 4
     conic, _ = validate(1, beta, gamma, delta, epsilon, num // 4)
     return conic

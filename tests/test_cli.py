@@ -26,7 +26,10 @@ GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # parser.error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -588,24 +591,13 @@ def test_solve_json_bytes_planted_target():
 
 
 # ---------------------------------------------------------------------------
-# divisor cap environment variable
+# the work budgets are the only limits
 
 def test_divisor_cap_env(capsys, monkeypatch):
+    # CONIC_DIVISOR_CAP is not read: the unreduced target 80 is enumerated
     monkeypatch.setenv("CONIC_DIVISOR_CAP", "10")
-    code, _, err = run_cli(capsys, "solve", "--no-reduce", *GOLDEN_ARGS)
-    assert code == 1
-    assert "divisor-limit" in err
-    # the reduced route only enumerates divisors of 10, so it stays allowed
-    code, out, _ = run_cli(capsys, "solve", *GOLDEN_ARGS)
-    assert code == 0
-    assert out.count("\n") == 4
-
-
-def test_divisor_cap_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CONIC_DIVISOR_CAP", "zero")
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", *GOLDEN_ARGS])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "solve", "--no-reduce", *GOLDEN_ARGS)
+    assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
 
 
 def test_module_entry_point():
@@ -616,3 +608,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-2 -1\n0 -1\n1 0\n1 2\n"
+
+
+def test_main_is_reentrant(capsys):
+    # each call, made after the others in one process, prints exactly what
+    # it prints alone in a fresh one: no state is left between calls
+    calls = [
+        ["solve", *GOLDEN_ARGS],
+        ["solve", "--check", "--format", "json", "1", "2"],  # parser.error
+        ["sumform", "--format", "json", "1", "1", "-13"],
+        ["solve", "--check", *GOLDEN_ARGS],
+        ["invariants", *GOLDEN_ARGS],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    assert in_process[1][0] == 2
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "conicpoints", *argv], capture_output=True, text=True
+        )
+        for argv in calls
+    ]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in alone]

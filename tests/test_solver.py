@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicpoints import (
-    DivisorLimitExceeded,
     FiniteSolutions,
     LatticePoint,
     LinePair,
@@ -108,13 +107,6 @@ def test_solve_finite_output_sorted_unique():
         assert pts == sorted(set(pts))
 
 
-def test_solve_finite_divisor_cap():
-    conic, inv = validate(*GOLDEN)  # big_i = 80, reduced constant 10
-    with pytest.raises(DivisorLimitExceeded):
-        solve_finite(conic, inv, reduce=False, divisor_cap=50)
-    assert solve_finite(conic, inv, divisor_cap=50) == GOLDEN_POINTS
-
-
 def test_solve_dispatch():
     conic, _ = validate(*GOLDEN)
     result = solve(conic)
@@ -185,7 +177,7 @@ def test_points_in_box_matches_scan():
             for y in range(-by, by + 1)
             if a * x + b * y == line.c
         ]
-        assert line.points_in_box(bx, by) == scan
+        assert list(line.box_points(bx, by)) == scan
 
 
 def test_linear_diophantine_rejects_zero_line():
@@ -428,7 +420,7 @@ def test_solve_planted_target_counts(factors):
 # ---------------------------------------------------------------------------
 # the divisor loop against an independent Cramer reference
 
-def _cramer_reference(conic, inv, reduce, cap=None):
+def _cramer_reference(conic, inv, reduce):
     """One Cramer solve per signed divisor s1, with s2 = target // s1 and a
     set of the integral solutions: the plain form of solve_finite's loop."""
     f1, f2 = factor_forms(conic, inv)
@@ -442,7 +434,7 @@ def _cramer_reference(conic, inv, reduce, cap=None):
     a2, b2, c2 = f2.cx, f2.cy, f2.c0
     det = a1 * b2 - b1 * a2
     found = set()
-    for d in positive_divisors(target, cap=cap):
+    for d in positive_divisors(target):
         for s1 in (d, -d):
             r1 = s1 - c1
             r2 = target // s1 - c2
@@ -454,9 +446,9 @@ def _cramer_reference(conic, inv, reduce, cap=None):
     return [LatticePoint(x, y) for x, y in sorted(found)]
 
 
-def _assert_matches_reference(conic, inv, reduce, cap=None):
-    points = solve_finite(conic, inv, reduce=reduce, divisor_cap=cap)
-    assert points == _cramer_reference(conic, inv, reduce, cap)
+def _assert_matches_reference(conic, inv, reduce):
+    points = solve_finite(conic, inv, reduce=reduce)
+    assert points == _cramer_reference(conic, inv, reduce)
     assert all(type(p) is LatticePoint for p in points)
     assert len(set(points)) == len(points)
     return points
@@ -482,8 +474,7 @@ def test_solve_finite_matches_reference_planted(factors, reduce):
     for sign in (1, -1):
         target = sign * math.prod(p**e for p, e in factors.items())
         conic, inv = _planted_target_conic(rng, target)
-        # the unreduced target, 4*target, is over the default cap
-        _assert_matches_reference(conic, inv, reduce, cap=10**15)
+        _assert_matches_reference(conic, inv, reduce)
 
 
 _factor_coeff = st.integers(10**5, 10**20) | st.integers(-(10**20), -(10**5))
@@ -501,8 +492,8 @@ def test_solve_finite_matches_reference_large(coeffs, point, values):
     r and w make the two factors m1 and m2 at the point, so the conic has
     10- to 40-digit quadratic coefficients (larger linear and constant
     ones) while its reduced target divides m1*m2.
-    The unreduced target is far over the divisor cap, so only the reduced
-    loop runs.
+    Only the reduced loop runs: the unreduced target, of up to about 76
+    digits, may run out of the rho budget.
     """
     p, q, s, t = coeffs
     assume(p * t != q * s)
