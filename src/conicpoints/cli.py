@@ -23,7 +23,7 @@ import json
 import re
 import sys
 from heapq import merge
-from itertools import groupby, starmap, zip_longest
+from itertools import chain, groupby, repeat, starmap, zip_longest
 from operator import eq
 
 from .conic import Conic, Invariants, invariants_of, validate
@@ -93,10 +93,10 @@ def _dump(doc: dict) -> str:
 
 
 # json.dumps with indent runs the pure-Python encoder, which dominates the
-# run time for point sets in the thousands.  The points are written from a
-# fixed template instead (decimal integers need no escaping, and "points"
-# is always a top-level key) into a slot that no decimal string or fixed
-# key can render as.
+# run time for point sets in the thousands.  The points are written with one
+# % over a repeated template instead (decimal integers need no escaping, and
+# "points" is always a top-level key) into a slot that no decimal string or
+# fixed key can render as.
 _POINTS_SLOT = "\0points"
 _POINTS_SLOT_JSON = json.dumps(_POINTS_SLOT)
 _POINT_JSON = '    [\n      "%d",\n      "%d"\n    ]'
@@ -105,14 +105,14 @@ _POINT_JSON = '    [\n      "%d",\n      "%d"\n    ]'
 def _finite_json(inv: Invariants, points, **extra) -> str:
     """The "finite" document, byte for byte as _dump writes it with the points
     as [["x", "y"], ...]."""
-    text = _dump(
+    head, tail = _dump(
         {"kind": "finite", "invariants": _inv_block(inv), "points": _POINTS_SLOT, **extra}
-    )
-    if points:
-        block = "[\n" + ",\n".join(map(_POINT_JSON.__mod__, points)) + "\n  ]"
-    else:
-        block = "[]"
-    return text.replace(_POINTS_SLOT_JSON, block, 1)
+    ).split(_POINTS_SLOT_JSON)
+    if not points:
+        return head + "[]" + tail
+    body = ",\n".join(repeat(_POINT_JSON, len(points))) % tuple(chain.from_iterable(points))
+    # one copy of the body: chained + would make one per operand
+    return f"{head}[\n{body}\n  ]{tail}"
 
 
 def _inv_block(inv: Invariants) -> dict:
@@ -301,8 +301,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> int:
-    conic = power_of_two_conic(args.beta, args.delta, args.epsilon, args.n)
+    # points first: past the point budget they raise before 2^n is built
     points = power_of_two_points(args.beta, args.delta, args.epsilon, args.n)
+    conic = power_of_two_conic(args.beta, args.delta, args.epsilon, args.n)
     if args.format == "json":
         out = _finite_json(invariants_of(conic), points, conic=_conic_doc(conic))
     else:

@@ -19,7 +19,7 @@ F2 = 0, each an ordinary linear Diophantine equation.
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
+from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .conic import (
@@ -31,7 +31,8 @@ from .conic import (
     invariants_of,
     validate,
 )
-from .intmath import ceil_div, extended_gcd, positive_divisors
+from .errors import DivisorLimitExceeded
+from .intmath import POINT_BUDGET, ceil_div, extended_gcd, positive_divisors
 
 
 class ParamLine(NamedTuple):
@@ -130,9 +131,13 @@ def solve_finite(
     Pairing the ascending divisors with their reverse gives each d its
     cofactor e = |target|/d.  With s2 = sign(target)*e, s1 = +-d gives the
     numerators nx = kx +- u and ny = ky +- v, where u = b2*d - b1*s2 and
-    v = a1*s2 - a2*d.  The derivative of u in d, b2 + b1*target/d^2, changes
-    sign at most once, so each sign's x values form at most two monotone
-    runs and the one sort is close to linear.
+    v = a1*s2 - a2*d.  When the determinant is +-1 (every monic conic with
+    k = 1 reduces to 1, alpha = -1 gives -1) the division is exact, so its
+    sign is folded into the coefficients and every signed divisor is a
+    point; otherwise a point needs det to divide both numerators.  Each
+    point is built once, as a LatticePoint.  The derivative of u in d,
+    b2 + b1*target/d^2, changes sign at most once, so each sign's x values
+    form at most two monotone runs and the one sort is close to linear.
     """
     if inv.big_i == 0:
         raise ValueError("big_i == 0 is the degenerate case; use solve_degenerate")
@@ -154,21 +159,28 @@ def solve_finite(
         a1, b1 = -a1, -b1
     divisors = positive_divisors(target)
     plus, minus = [], []
-    for d, e in zip(divisors, reversed(divisors)):
-        u = b2 * d - b1 * e
-        nx = kx + u
-        if nx % det == 0:
-            ny = ky + a1 * e - a2 * d
-            if ny % det == 0:
-                plus.append((nx // det, ny // det))
-        nx = kx - u
-        if nx % det == 0:
-            ny = ky - a1 * e + a2 * d
-            if ny % det == 0:
-                minus.append((nx // det, ny // det))
+    new = tuple.__new__  # skips the Python-level LatticePoint.__new__
+    if det == 1 or det == -1:
+        if det < 0:
+            kx, ky, a1, b1, a2, b2 = -kx, -ky, -a1, -b1, -a2, -b2
+        for d, e in zip(divisors, reversed(divisors)):
+            u = b2 * d - b1 * e
+            v = a1 * e - a2 * d
+            plus.append(new(LatticePoint, (kx + u, ky + v)))
+            minus.append(new(LatticePoint, (kx - u, ky - v)))
+    else:
+        for d, e in zip(divisors, reversed(divisors)):
+            u = b2 * d - b1 * e
+            v = a1 * e - a2 * d
+            nx, ny = kx + u, ky + v
+            if nx % det == 0 and ny % det == 0:
+                plus.append(new(LatticePoint, (nx // det, ny // det)))
+            nx, ny = kx - u, ky - v
+            if nx % det == 0 and ny % det == 0:
+                minus.append(new(LatticePoint, (nx // det, ny // det)))
     plus += minus
     plus.sort()
-    return list(map(tuple.__new__, repeat(LatticePoint), plus))
+    return plus
 
 
 def solve_linear_diophantine(a: int, b: int, c: int) -> ParamLine:
@@ -266,8 +278,15 @@ def power_of_two_points(
 
     for e = +-1, with M = 2*epsilon - beta*delta.  The numerator of x_i is
     even because beta^2 - 1 is divisible by 8 for odd beta.  Distinct
-    splittings give distinct points, as in solve_finite.
+    splittings give distinct points, as in solve_finite.  Past the point
+    budget DivisorLimitExceeded is raised before anything of size 2^n is
+    built, as solve_finite would on the reduced target 2^(n-2).
     """
+    if 2 * (n - 1) > POINT_BUDGET:
+        raise DivisorLimitExceeded(
+            f"the reduced target 2^{n - 2} has {n - 1} divisors, {2 * (n - 1)} "
+            f"signed, over the point budget of {POINT_BUDGET}"
+        )
     power_of_two_conic(beta, delta, epsilon, n)  # argument validation
     m0 = 2 * epsilon - beta * delta
     points = []

@@ -6,20 +6,23 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicpoints import (
+    Conic,
     ConicError,
     FiniteSolutions,
     LatticePoint,
     LinePair,
     random_valid_conic,
     solve,
+    validate,
 )
-from conicpoints.cli import main
+from conicpoints.cli import _dump, _finite_json, _inv_block, main
 from test_solver import _planted_target_conic
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
@@ -334,6 +337,21 @@ def test_theorem1_invalid(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize("n", ["131074", "1000000"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_theorem1_point_budget(capsys, n, fmt):
+    """Past the point budget theorem1 refuses at once, before any 2^n."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "theorem1", "--format", fmt, "3", "0", "0", n)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "divisor-limit"
+    else:
+        assert out == "" and err.startswith("error: divisor-limit: ")
+    assert elapsed < 0.1
+
+
 def test_sumform_prime(capsys):
     code, out, _ = run_cli(capsys, "sumform", "1", "1", "-13")
     assert code == 0
@@ -588,6 +606,46 @@ def test_solve_json_bytes_planted_target():
     points = solve(conic).points
     assert len(points) == 2 * tau
     assert doc["points"] == point_strings(points)
+
+
+def _writer_point_sets():
+    rng = random.Random(13)
+    big = 10**299
+    return {
+        "empty": [],
+        "one": [LatticePoint(1, 2)],
+        "negative": [LatticePoint(-7, -6), LatticePoint(-1, 0), LatticePoint(0, -3)],
+        "300-digit": [LatticePoint(-big - 1, big + 12345), LatticePoint(big, -big)],
+        "1000 random": sorted(
+            LatticePoint(rng.randint(-(10**12), 10**12), rng.randint(-(10**12), 10**12))
+            for _ in range(1000)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_point_sets()))
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"conic": dict(zip(Conic._fields, ("1", "3", "2", "0", "1", "-5")))},
+        {"obstruction": "mod4-obstruction"},
+    ],
+    ids=["none", "conic", "obstruction"],
+)
+def test_finite_json_is_json_dumps(name, extra):
+    """The template writer gives exactly the bytes of json.dumps on the whole
+    document, the form the README promises."""
+    points = _writer_point_sets()[name]
+    _, inv = validate(2, -5, 2, -1, 1, -1)
+    doc = {
+        "kind": "finite",
+        "invariants": _inv_block(inv),
+        "points": [[str(x), str(y)] for x, y in points],
+        **extra,
+    }
+    assert _finite_json(inv, points, **extra) == _dump(doc)
+    assert _finite_json(inv, tuple(points), **extra) == _dump(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicpoints import (
+    DivisorLimitExceeded,
     FiniteSolutions,
     LatticePoint,
     LinePair,
@@ -28,6 +29,7 @@ from conicpoints import (
     solve_linear_diophantine,
     validate,
 )
+from conicpoints import intmath, solver
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
 GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
@@ -454,27 +456,52 @@ def _assert_matches_reference(conic, inv, reduce):
     return points
 
 
+def _reduced_det(conic, inv):
+    """Determinant of the content-reduced forms, or None when content_reduce
+    proves the conic empty."""
+    reduced = content_reduce(*factor_forms(conic, inv), inv.big_i)
+    if reduced is None:
+        return None
+    g1, g2, _ = reduced
+    return g1.cx * g2.cy - g1.cy * g2.cx
+
+
 @pytest.mark.parametrize("reduce", [True, False])
 def test_solve_finite_matches_reference_random(reduce):
     checked = 0
+    unit_det = other_det = 0
     for seed in range(2400):
         conic = random_valid_conic(seed)
         inv = invariants_of(conic)
         if inv.big_i == 0:
             continue
         checked += 1
+        det = _reduced_det(conic, inv)
+        if det is not None:
+            if abs(det) == 1:
+                unit_det += 1
+            else:
+                other_det += 1
         _assert_matches_reference(conic, inv, reduce)
     assert checked >= 2000
+    # solve_finite skips the divisibility tests when the reduced |det| is 1:
+    # both of its branches must see enough conics
+    assert unit_det >= 50 and other_det >= 50
 
 
 @pytest.mark.parametrize("reduce", [True, False])
 @pytest.mark.parametrize("factors", PLANTED_FACTORS)
 def test_solve_finite_matches_reference_planted(factors, reduce):
+    """alpha = 1 reduces to determinant 1; the negated conic, with alpha = -1
+    and the same points, reduces to -1."""
     rng = random.Random(11)
     for sign in (1, -1):
         target = sign * math.prod(p**e for p, e in factors.items())
-        conic, inv = _planted_target_conic(rng, target)
-        _assert_matches_reference(conic, inv, reduce)
+        conic, _ = _planted_target_conic(rng, target)
+        for alpha in (1, -1):
+            conic_a, inv = validate(*(alpha * c for c in conic))
+            assert _reduced_det(conic_a, inv) == alpha
+            _assert_matches_reference(conic_a, inv, reduce)
 
 
 _factor_coeff = st.integers(10**5, 10**20) | st.integers(-(10**20), -(10**5))
@@ -524,13 +551,33 @@ def test_power_of_two_points_instance():
 
 def test_power_of_two_counts_and_agreement():
     for beta in (3, -3, 5, 9):
-        for n in range(2, 8):
+        for n in range(2, 41):
             pts = power_of_two_points(beta, 1, -2, n)
             assert len(pts) == 2 * (n - 1)
             conic = power_of_two_conic(beta, 1, -2, n)
             inv = invariants_of(conic)
             assert inv.big_i == 2**n
-            assert pts == solve_finite(conic, inv)
+            for reduce in (True, False):
+                assert pts == _assert_matches_reference(conic, inv, reduce)
+
+
+def test_power_of_two_points_budget(monkeypatch):
+    """power_of_two_points refuses exactly where solve_finite does on the
+    conic it describes, whose reduced target 2^(n-2) has n-1 divisors."""
+    for module in (intmath, solver):
+        monkeypatch.setattr(module, "POINT_BUDGET", 64)
+    for n in range(2, 40):
+        conic = power_of_two_conic(3, 0, 1, n)
+        try:
+            solve_finite(conic, invariants_of(conic))
+        except DivisorLimitExceeded:
+            with pytest.raises(DivisorLimitExceeded, match="point budget of 64"):
+                power_of_two_points(3, 0, 1, n)
+            assert n == 34
+            break
+        assert len(power_of_two_points(3, 0, 1, n)) == 2 * (n - 1)
+    else:
+        pytest.fail("solve_finite never refused")
 
 
 def test_power_of_two_rejections():
