@@ -31,7 +31,6 @@ from .solver import (
     FiniteSolutions,
     LinePair,
     ParamLine,
-    SquareSplitResult,
     power_of_two_conic,
     power_of_two_points,
     solve,
@@ -56,7 +55,6 @@ __all__ = [
     "NotFactorable",
     "ParamLine",
     "SearchBound",
-    "SquareSplitResult",
     "brute_force",
     "content_reduce",
     "extended_gcd",

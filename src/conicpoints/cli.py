@@ -151,8 +151,13 @@ def _line_text(line: ParamLine) -> str:
     return f"{head} no integer solutions"
 
 
-def _points_text(points) -> str:
-    return "".join(f"{p.x} {p.y}\n" for p in points)
+def _write_finite(args, inv: Invariants, points, text: str = "", **extra) -> None:
+    """Write a finite answer: the "finite" document with ``extra``'s keys,
+    or the ``text`` head and one "x y" line per point."""
+    if args.format == "json":
+        sys.stdout.write(_finite_json(inv, points, **extra))
+    else:
+        sys.stdout.write(text + "".join(f"{p.x} {p.y}\n" for p in points))
 
 
 def _emit_invalid(args: argparse.Namespace, exc: Exception) -> int:
@@ -166,36 +171,36 @@ def _emit_invalid(args: argparse.Namespace, exc: Exception) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle box helpers for --check and oracle
+# the oracle's search box and the solver's points in it, for --check and oracle
 
-def _search_box(args, conic: Conic, inv: Invariants) -> SearchBound | None:
-    """The square --bound box, else the derived box; None for a degenerate
-    conic without --bound."""
+def _oracle_box(args, conic: Conic, inv: Invariants, missing: str) -> SearchBound | int:
+    """The square --bound box, else the derived box.  Otherwise its message
+    goes to stderr and the exit code comes back: 4 with ``missing`` for a
+    degenerate conic without --bound, 5 for a box with more rows than the
+    oracle's row budget or, for a line pair, room for more points than its
+    point budget."""
     if args.bound is not None:
-        return SearchBound(bx=args.bound, by=args.bound)
-    if inv.big_i != 0:
-        return solution_bound(conic, inv)
-    return None
-
-
-def _over_budget(bound: SearchBound, lines: bool) -> bool:
-    """Report a box with more rows than the oracle's row budget or, for a
-    line pair (``lines``), room for more points than its point budget."""
+        bound = SearchBound(bx=args.bound, by=args.bound)
+    elif inv.big_i != 0:
+        bound = solution_bound(conic, inv)
+    else:
+        print(f"error: {missing}", file=sys.stderr)
+        return 4
     rows = 2 * bound.by + 1
     if rows > ROW_BUDGET:
         what = f"{rows} rows, over the oracle row budget of {ROW_BUDGET}"
-    elif lines and 2 * rows > POINT_BUDGET:
+    elif inv.big_i == 0 and 2 * rows > POINT_BUDGET:
         what = (
             f"room for {2 * rows} points, "
             f"over the oracle point budget of {POINT_BUDGET}"
         )
     else:
-        return False
+        return bound
     print(
         f"error: search box (bx={bound.bx}, by={bound.by}) has {what}",
         file=sys.stderr,
     )
-    return True
+    return 5
 
 
 # Points listed per side when solver and oracle disagree.
@@ -212,35 +217,27 @@ def _only_text(side: str, points, other) -> str:
     return text
 
 
-def _box_points(lines, bound: SearchBound):
-    """The lines' points in the box, sorted, one at a time: each line's come
-    in (x, y) order, so merge them and drop the repeat where they cross."""
-    walks = [line.box_points(bound.bx, bound.by) for line in lines]
+def _solver_box_points(result, bound: SearchBound):
+    """The solver's points in the box, sorted, one at a time.  A line pair's
+    come from each line's walk in (x, y) order, merged, with the repeat
+    where the lines cross dropped."""
+    bx, by = bound
+    if isinstance(result, FiniteSolutions):
+        return (p for p in result.points if abs(p.x) <= bx and abs(p.y) <= by)
+    walks = [line.box_points(bx, by) for line in result.lines]
     return (p for p, _ in groupby(merge(*walks)))
 
 
 def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
-    bound = _search_box(args, conic, inv)
-    if bound is None:
-        print(
-            "error: --check on a degenerate conic needs --bound",
-            file=sys.stderr,
-        )
-        return 4
-    if _over_budget(bound, inv.big_i == 0):
-        return 5
+    bound = _oracle_box(args, conic, inv, "--check on a degenerate conic needs --bound")
+    if isinstance(bound, int):
+        return bound
     oracle_points = brute_force(conic, bound)
-    if isinstance(result, FiniteSolutions):
-        bx, by = bound
-        expected = [p for p in result.points if abs(p.x) <= bx and abs(p.y) <= by]
-        if oracle_points == expected:
-            return 0
-    else:
-        # compared point by point: the box may hold POINT_BUDGET points
-        pairs = zip_longest(oracle_points, _box_points(result.lines, bound))
-        if all(starmap(eq, pairs)):
-            return 0
-        expected = list(_box_points(result.lines, bound))
+    # compared point by point: a line pair's box may hold POINT_BUDGET points
+    pairs = zip_longest(oracle_points, _solver_box_points(result, bound))
+    if all(starmap(eq, pairs)):
+        return 0
+    expected = list(_solver_box_points(result, bound))
     print(
         f"error: solver and oracle disagree within box "
         f"(bx={bound.bx}, by={bound.by})\n"
@@ -255,20 +252,20 @@ def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
 # subcommands
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.bound is not None and not args.check:
+        args.parser.error("--bound needs --check")
     conic, inv = _conic_from_args(args)
     result = solve(conic, reduce=not args.no_reduce)
-    json_format = args.format == "json"
     if isinstance(result, FiniteSolutions):
-        out = _finite_json(inv, result.points) if json_format else _points_text(result.points)
-    elif json_format:
-        out = _dump({
+        _write_finite(args, inv, result.points)
+    elif args.format == "json":
+        sys.stdout.write(_dump({
             "kind": "lines",
             "lines": [_line_doc(line) for line in result.lines],
             "invariants": _inv_block(inv),
-        })
+        }))
     else:
-        out = "".join(_line_text(line) + "\n" for line in result.lines)
-    sys.stdout.write(out)
+        sys.stdout.write("".join(_line_text(line) + "\n" for line in result.lines))
     if args.check:
         return _run_check(args, conic, inv, result)
     return 0
@@ -285,18 +282,13 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     conic, inv = _conic_from_args(args)
-    bound = _search_box(args, conic, inv)
-    if bound is None:
-        print(
-            "error: degenerate conic (invariant 0) has no finite search box; "
-            "give --bound",
-            file=sys.stderr,
-        )
-        return 4
-    if _over_budget(bound, inv.big_i == 0):
-        return 5
-    points = brute_force(conic, bound)
-    sys.stdout.write(_finite_json(inv, points) if args.format == "json" else _points_text(points))
+    bound = _oracle_box(
+        args, conic, inv,
+        "degenerate conic (invariant 0) has no finite search box; give --bound",
+    )
+    if isinstance(bound, int):
+        return bound
+    _write_finite(args, inv, brute_force(conic, bound))
     return 0
 
 
@@ -304,23 +296,17 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
     # points first: past the point budget they raise before 2^n is built
     points = power_of_two_points(args.beta, args.delta, args.epsilon, args.n)
     conic = power_of_two_conic(args.beta, args.delta, args.epsilon, args.n)
-    if args.format == "json":
-        out = _finite_json(invariants_of(conic), points, conic=_conic_doc(conic))
-    else:
-        out = "conic: " + " ".join(map(str, conic)) + "\n" + _points_text(points)
-    sys.stdout.write(out)
+    head = "conic: " + " ".join(map(str, conic)) + "\n"
+    _write_finite(args, invariants_of(conic), points, head, conic=_conic_doc(conic))
     return 0
 
 
 def _cmd_sumform(args: argparse.Namespace) -> int:
     result = solve_difference_of_squares(args.l, args.m, args.j)
     _, inv = validate(args.l * args.l, 0, -args.m * args.m, 0, 0, args.j)
-    if args.format == "json":
-        extra = {} if result.obstruction is None else {"obstruction": result.obstruction}
-        sys.stdout.write(_finite_json(inv, result.points, **extra))
-        return 0
-    sys.stdout.write(_points_text(result.points))
-    if result.obstruction is not None:
+    extra = {} if result.obstruction is None else {"obstruction": result.obstruction}
+    _write_finite(args, inv, result.points, **extra)
+    if extra and args.format == "text":
         print("no integer solutions: -j = 2 (mod 4)", file=sys.stderr)
     return 0
 

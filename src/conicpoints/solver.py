@@ -86,26 +86,22 @@ class ParamLine(NamedTuple):
         return islice(zip(count(x0, dx), count(y0, dy)), max(0, hi - lo + 1))
 
 
-class FiniteSolutions(NamedTuple):
-    points: tuple[LatticePoint, ...]
-
-
-class LinePair(NamedTuple):
-    lines: tuple[ParamLine, ParamLine]
-
-
 MOD4_OBSTRUCTION = "mod4-obstruction"
 
 
-class SquareSplitResult(NamedTuple):
-    """Outcome for the pure difference-of-squares family.
+class FiniteSolutions(NamedTuple):
+    """Every integral point of a conic with big_i != 0, sorted by (x, y).
 
-    ``obstruction`` is set (and points empty) when emptiness follows from a
-    congruence argument rather than from exhausting divisor splittings.
+    ``obstruction`` is set, and points empty, only when a congruence rules
+    out every point: MOD4_OBSTRUCTION from solve_difference_of_squares.
     """
 
     points: tuple[LatticePoint, ...]
     obstruction: str | None = None
+
+
+class LinePair(NamedTuple):
+    lines: tuple[ParamLine, ParamLine]
 
 
 def solve(conic: Conic, *, reduce: bool = True) -> FiniteSolutions | LinePair:
@@ -113,8 +109,7 @@ def solve(conic: Conic, *, reduce: bool = True) -> FiniteSolutions | LinePair:
     inv = invariants_of(conic)
     if inv.big_i == 0:
         return LinePair(solve_degenerate(conic, inv))
-    pts = solve_finite(conic, inv, reduce=reduce)
-    return FiniteSolutions(tuple(pts))
+    return FiniteSolutions(tuple(solve_finite(conic, inv, reduce=reduce)))
 
 
 def solve_finite(
@@ -221,14 +216,15 @@ def solve_degenerate(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLin
     )
 
 
-def solve_difference_of_squares(l: int, m: int, j: int) -> SquareSplitResult:
+def solve_difference_of_squares(l: int, m: int, j: int) -> FiniteSolutions:
     """Integral points of l^2*x^2 - m^2*y^2 + j = 0, i.e. (lx-my)(lx+my) = -j.
 
     When -j = 2 (mod 4) the set is empty by a congruence: a product
     (lx-my)(lx+my) of two integers of equal parity is odd or divisible by
-    4.  That obstruction is reported; any other nonzero j goes to the
-    general divisor solver on the modeled conic.  j = 0 is rejected: that
-    is the degenerate line pair lx = +-my, not a finite set.
+    4.  Only that case sets ``obstruction``, to MOD4_OBSTRUCTION; any other
+    nonzero j goes to the general divisor solver on the modeled conic.
+    j = 0 is rejected: that is the degenerate line pair lx = +-my, not a
+    finite set.
     """
     if l <= 0 or m <= 0:
         raise ValueError("l and m must be positive")
@@ -237,10 +233,18 @@ def solve_difference_of_squares(l: int, m: int, j: int) -> SquareSplitResult:
             "j = 0 degenerates to the line pair l*x = +-m*y; use solve instead"
         )
     if -j % 4 == 2:
-        return SquareSplitResult((), MOD4_OBSTRUCTION)
+        return FiniteSolutions((), MOD4_OBSTRUCTION)
     conic, inv = validate(l * l, 0, -m * m, 0, 0, j)
-    pts = solve_finite(conic, inv)
-    return SquareSplitResult(tuple(pts))
+    return FiniteSolutions(tuple(solve_finite(conic, inv)))
+
+
+def _check_power_of_two(beta: int, n: int) -> None:
+    if beta % 2 == 0:
+        raise ValueError("beta must be odd")
+    if beta * beta == 1:
+        raise ValueError("beta = +-1 makes gamma zero")
+    if n < 2:
+        raise ValueError("n must be at least 2")
 
 
 def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
@@ -252,12 +256,7 @@ def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
     constant term gives j = (delta^2 - M^2 - 2^n)/4, an integer for every
     odd beta and n >= 2: delta - M and delta + M are both even.
     """
-    if beta % 2 == 0:
-        raise ValueError("beta must be odd")
-    if beta * beta == 1:
-        raise ValueError("beta = +-1 makes gamma zero")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_power_of_two(beta, n)
     m0 = 2 * epsilon - beta * delta
     num = delta * delta - m0 * m0 - (1 << n)
     gamma = (beta * beta - 1) // 4
@@ -280,14 +279,16 @@ def power_of_two_points(
     even because beta^2 - 1 is divisible by 8 for odd beta.  Distinct
     splittings give distinct points, as in solve_finite.  Past the point
     budget DivisorLimitExceeded is raised before anything of size 2^n is
-    built, as solve_finite would on the reduced target 2^(n-2).
+    built, as solve_finite would on the reduced target 2^(n-2); then the
+    arguments are checked as power_of_two_conic checks them, without
+    building the conic.
     """
     if 2 * (n - 1) > POINT_BUDGET:
         raise DivisorLimitExceeded(
             f"the reduced target 2^{n - 2} has {n - 1} divisors, {2 * (n - 1)} "
             f"signed, over the point budget of {POINT_BUDGET}"
         )
-    power_of_two_conic(beta, delta, epsilon, n)  # argument validation
+    _check_power_of_two(beta, n)
     m0 = 2 * epsilon - beta * delta
     points = []
     for i in range(2, n + 1):

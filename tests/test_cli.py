@@ -118,6 +118,9 @@ def test_solve_check_passes(capsys):
     code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
     assert code == 0
     assert err == ""
+    # (-2,-1) and (1,2) lie outside the box, so only two points are compared
+    code, out, err = run_cli(capsys, "solve", "--check", "--bound", "1", *GOLDEN_ARGS)
+    assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
 
 
 def test_solve_check_detects_fault(capsys, monkeypatch):
@@ -264,11 +267,37 @@ def test_solve_check_detects_line_point_missing_from_oracle(capsys, monkeypatch)
     # the oracle's points, all but the last, are a prefix of the solver's
     true_brute_force = cli_mod.brute_force
     monkeypatch.setattr(cli_mod, "brute_force", lambda *args: true_brute_force(*args)[:-1])
-    code, _, err = run_cli(
-        capsys, "solve", "--check", "--bound", "3", "1", "0", "-1", "0", "0", "0"
+    for conic_args, last in ((["1", "0", "-1", "0", "0", "0"], "(3,3)"), (GOLDEN_ARGS, "(1,2)")):
+        code, _, err = run_cli(capsys, "solve", "--check", "--bound", "3", *conic_args)
+        assert code == 3
+        assert err.splitlines()[1:] == [f"only the solver found 1: {last}", "only the oracle found 0"]
+
+
+@pytest.mark.parametrize(
+    "conic_args", [GOLDEN_ARGS, ["1", "0", "-1", "0", "0", "0"]], ids=["finite", "lines"]
+)
+def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatch, conic_args):
+    import conicpoints.cli as cli_mod
+
+    # the solver's in-box points are a strict prefix of the oracle's
+    true_brute_force = cli_mod.brute_force
+    monkeypatch.setattr(
+        cli_mod, "brute_force", lambda *args: true_brute_force(*args) + [LatticePoint(3, 4)]
     )
+    code, _, err = run_cli(capsys, "solve", "--check", "--bound", "3", *conic_args)
     assert code == 3
-    assert err.splitlines()[1:] == ["only the solver found 1: (3,3)", "only the oracle found 0"]
+    assert err.splitlines() == [
+        "error: solver and oracle disagree within box (bx=3, by=3)",
+        "only the solver found 0",
+        "only the oracle found 1: (3,4)",
+    ]
+
+
+def test_solve_bound_needs_check(capsys):
+    code, out, err = run_cli(capsys, "solve", "--bound", "3", *GOLDEN_ARGS)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: conicpoints solve ")
+    assert err.endswith("conicpoints solve: error: --bound needs --check\n")
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def test_solve_dispatch():
     result = solve(conic)
     assert isinstance(result, FiniteSolutions)
     assert list(result.points) == GOLDEN_POINTS
+    assert result.obstruction is None
+    assert solve(validate(1, 0, -1, 0, 0, -2)[0]) == FiniteSolutions(())
     lines = solve(validate(1, 0, -1, 0, 0, 0)[0])
     assert isinstance(lines, LinePair)
     assert all(line.solvable for line in lines.lines)
@@ -293,8 +295,8 @@ def test_solve_homogeneous_directions_coprime_and_origin():
 
 def test_square_difference_rhs_one():
     res = solve_difference_of_squares(1, 1, -1)
-    assert res.points == ((-1, 0), (1, 0))
-    assert res.obstruction is None
+    assert res == FiniteSolutions(((-1, 0), (1, 0)))
+    assert type(res) is FiniteSolutions and res.obstruction is None
     assert solve_difference_of_squares(2, 3, -1).points == ()
 
 
@@ -333,6 +335,8 @@ def test_square_difference_mod4_obstruction():
         res = solve_difference_of_squares(l, m, j)
         assert res.points == ()
         assert res.obstruction == MOD4_OBSTRUCTION
+        assert type(res) is FiniteSolutions
+        assert res == FiniteSolutions((), MOD4_OBSTRUCTION)
 
 
 def test_square_difference_delegates_composites():
@@ -580,7 +584,7 @@ def test_power_of_two_points_budget(monkeypatch):
         pytest.fail("solve_finite never refused")
 
 
-def test_power_of_two_rejections():
+def test_power_of_two_rejections(monkeypatch):
     with pytest.raises(ValueError, match="odd"):
         power_of_two_points(2, 0, 1, 4)
     with pytest.raises(ValueError, match="gamma"):
@@ -589,6 +593,23 @@ def test_power_of_two_rejections():
         power_of_two_points(-1, 0, 1, 4)
     with pytest.raises(ValueError, match="at least"):
         power_of_two_points(3, 0, 1, 1)
+    # the point budget first, then beta odd, beta != +-1 and n >= 2 in that
+    # order, as power_of_two_conic checks them; the points build no conic
+    monkeypatch.setattr(solver, "validate", lambda *args: pytest.fail("conic built"))
+    for beta, n in [(2, 10**6), (1, 10**6), (-3, 131074)]:
+        with pytest.raises(DivisorLimitExceeded, match="point budget"):
+            power_of_two_points(beta, 0, 1, n)
+    for beta, n, message in [
+        (2, 1, "beta must be odd"),
+        (1, 1, "beta = +-1 makes gamma zero"),
+        (-1, -5, "beta = +-1 makes gamma zero"),
+        (3, 1, "n must be at least 2"),
+    ]:
+        for build in (power_of_two_points, power_of_two_conic):
+            with pytest.raises(ValueError) as info:
+                build(beta, 0, 1, n)
+            assert type(info.value) is ValueError and str(info.value) == message
+    assert len(power_of_two_points(3, 0, 1, 4)) == 6
 
 
 # ---------------------------------------------------------------------------
