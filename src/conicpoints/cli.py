@@ -8,11 +8,13 @@ Subcommands:
   theorem1    closed-form family for monic unit-k conics with invariant 2^n
   sumform     l^2*x^2 - m^2*y^2 + j = 0, with its mod-4 obstruction
 
-Exit codes: 0 success; 1 invalid input; 2 parse error; 3 solver/oracle
-mismatch under --check; 4 oracle search on a degenerate conic without
---bound; 5 oracle search box over oracle.ROW_BUDGET rows, or a line pair's
-box with room for over intmath.POINT_BUDGET points, under --check or
-oracle.  All integers in JSON documents are decimal strings so arbitrary
+Exit codes, all picked by main: 0 success; 1 invalid input (an "invalid"
+document on stdout under --format json, else "error: <code>: ..." on
+stderr); 2 parse error; 3 solver/oracle mismatch under --check; 4 oracle
+search on a degenerate conic without --bound; 5 oracle search box over
+oracle.ROW_BUDGET rows, or a line pair's box with room for over
+intmath.POINT_BUDGET points.  3, 4 and 5 write "error: ..." to stderr.
+All integers in JSON documents are decimal strings so arbitrary
 magnitudes survive any JSON parser.
 """
 
@@ -160,47 +162,36 @@ def _write_finite(args, inv: Invariants, points, text: str = "", **extra) -> Non
         sys.stdout.write(text + "".join(f"{p.x} {p.y}\n" for p in points))
 
 
-def _emit_invalid(args: argparse.Namespace, exc: Exception) -> int:
-    code = getattr(exc, "code", "invalid-input")
-    if args.format == "json":
-        doc = {"kind": "invalid", "error": {"code": code, "message": str(exc)}}
-        sys.stdout.write(_dump(doc))
-    else:
-        print(f"error: {code}: {exc}", file=sys.stderr)
-    return 1
+class _Refused(Exception):
+    """Exit ``code`` with the message; not a ValueError, which is invalid input."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 # ---------------------------------------------------------------------------
 # the oracle's search box and the solver's points in it, for --check and oracle
 
-def _oracle_box(args, conic: Conic, inv: Invariants, missing: str) -> SearchBound | int:
-    """The square --bound box, else the derived box.  Otherwise its message
-    goes to stderr and the exit code comes back: 4 with ``missing`` for a
-    degenerate conic without --bound, 5 for a box with more rows than the
-    oracle's row budget or, for a line pair, room for more points than its
-    point budget."""
+def _oracle_box(args, conic: Conic, inv: Invariants, missing: str) -> SearchBound:
+    """The square --bound box, else the derived box.  Refused with exit 4
+    and ``missing`` for a degenerate conic without --bound, and with exit 5
+    for a box with more rows than the oracle's row budget or, for a line
+    pair, room for more points than its point budget."""
     if args.bound is not None:
         bound = SearchBound(bx=args.bound, by=args.bound)
     elif inv.big_i != 0:
         bound = solution_bound(conic, inv)
     else:
-        print(f"error: {missing}", file=sys.stderr)
-        return 4
+        raise _Refused(4, missing)
     rows = 2 * bound.by + 1
     if rows > ROW_BUDGET:
         what = f"{rows} rows, over the oracle row budget of {ROW_BUDGET}"
     elif inv.big_i == 0 and 2 * rows > POINT_BUDGET:
-        what = (
-            f"room for {2 * rows} points, "
-            f"over the oracle point budget of {POINT_BUDGET}"
-        )
+        what = f"room for {2 * rows} points, over the oracle point budget of {POINT_BUDGET}"
     else:
         return bound
-    print(
-        f"error: search box (bx={bound.bx}, by={bound.by}) has {what}",
-        file=sys.stderr,
-    )
-    return 5
+    raise _Refused(5, f"search box (bx={bound.bx}, by={bound.by}) has {what}")
 
 
 # Points listed per side when solver and oracle disagree.
@@ -228,30 +219,25 @@ def _solver_box_points(result, bound: SearchBound):
     return (p for p, _ in groupby(merge(*walks)))
 
 
-def _run_check(args, conic: Conic, inv: Invariants, result) -> int:
+def _run_check(args, conic: Conic, inv: Invariants, result) -> None:
     bound = _oracle_box(args, conic, inv, "--check on a degenerate conic needs --bound")
-    if isinstance(bound, int):
-        return bound
     oracle_points = brute_force(conic, bound)
     # compared point by point: a line pair's box may hold POINT_BUDGET points
     pairs = zip_longest(oracle_points, _solver_box_points(result, bound))
-    if all(starmap(eq, pairs)):
-        return 0
-    expected = list(_solver_box_points(result, bound))
-    print(
-        f"error: solver and oracle disagree within box "
-        f"(bx={bound.bx}, by={bound.by})\n"
-        f"{_only_text('solver', expected, oracle_points)}\n"
-        f"{_only_text('oracle', oracle_points, expected)}",
-        file=sys.stderr,
-    )
-    return 3
+    if not all(starmap(eq, pairs)):
+        expected = list(_solver_box_points(result, bound))
+        raise _Refused(
+            3,
+            f"solver and oracle disagree within box (bx={bound.bx}, by={bound.by})\n"
+            f"{_only_text('solver', expected, oracle_points)}\n"
+            f"{_only_text('oracle', oracle_points, expected)}",
+        )
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> None:
     if args.bound is not None and not args.check:
         args.parser.error("--bound needs --check")
     conic, inv = _conic_from_args(args)
@@ -267,48 +253,41 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write("".join(_line_text(line) + "\n" for line in result.lines))
     if args.check:
-        return _run_check(args, conic, inv, result)
-    return 0
+        _run_check(args, conic, inv, result)
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> None:
     _, inv = _conic_from_args(args)
     if args.format == "json":
         sys.stdout.write(_dump({"invariants": _inv_block(inv)}))
     else:
         sys.stdout.write(f"k = {inv.k}\ni = {inv.big_i}\ndelta_q = {inv.delta_q}\nm = {inv.m}\n")
-    return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> None:
     conic, inv = _conic_from_args(args)
     bound = _oracle_box(
         args, conic, inv,
         "degenerate conic (invariant 0) has no finite search box; give --bound",
     )
-    if isinstance(bound, int):
-        return bound
     _write_finite(args, inv, brute_force(conic, bound))
-    return 0
 
 
-def _cmd_theorem1(args: argparse.Namespace) -> int:
+def _cmd_theorem1(args: argparse.Namespace) -> None:
     # points first: past the point budget they raise before 2^n is built
     points = power_of_two_points(args.beta, args.delta, args.epsilon, args.n)
     conic = power_of_two_conic(args.beta, args.delta, args.epsilon, args.n)
     head = "conic: " + " ".join(map(str, conic)) + "\n"
     _write_finite(args, invariants_of(conic), points, head, conic=_conic_doc(conic))
-    return 0
 
 
-def _cmd_sumform(args: argparse.Namespace) -> int:
+def _cmd_sumform(args: argparse.Namespace) -> None:
     result = solve_difference_of_squares(args.l, args.m, args.j)
     _, inv = validate(args.l * args.l, 0, -args.m * args.m, 0, 0, args.j)
     extra = {} if result.obstruction is None else {"obstruction": result.obstruction}
     _write_finite(args, inv, result.points, **extra)
     if extra and args.format == "text":
         print("no integer solutions: -j = 2 (mod 4)", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +390,20 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         try:
-            return args.handler(args)
+            args.handler(args)
+        except _Refused as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
         except ValueError as exc:
             # ConicError and the theorem1 and sumform argument checks
-            return _emit_invalid(args, exc)
+            code = getattr(exc, "code", "invalid-input")
+            if args.format == "json":
+                doc = {"kind": "invalid", "error": {"code": code, "message": str(exc)}}
+                sys.stdout.write(_dump(doc))
+            else:
+                print(f"error: {code}: {exc}", file=sys.stderr)
+            return 1
+        return 0
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)

@@ -130,6 +130,7 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     isqrt = math.isqrt
     step2 = 2 * p * period * period
     two_a, bx = 2 * a, bound.bx
+    new = tuple.__new__
     found = []
     for c in classes:
         y0 = lo + (c - lo) % period
@@ -144,15 +145,10 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
                     for num in (s - lin, -s - lin) if s else (-lin,):
                         x, rest = divmod(num, two_a)
                         if not rest and -bx <= x <= bx:
-                            found.append((x, y))
+                            found.append(new(LatticePoint, (x, y)))
             disc += diff
             diff += step2
     found.sort()
-    # in place, so each tuple is freed as its point is built: a line pair
-    # can have two points in every row
-    make = LatticePoint._make
-    for i, point in enumerate(found):
-        found[i] = make(point)
     return found
 
 

@@ -298,6 +298,12 @@ def test_solve_bound_needs_check(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("usage: conicpoints solve ")
     assert err.endswith("conicpoints solve: error: --bound needs --check\n")
+    # and a --bound that is given must be positive
+    for cmd in (["solve", "--check"], ["oracle"]):
+        for bound in ("0", "-3"):
+            code, out, err = run_cli(capsys, *cmd, "--bound", bound, *GOLDEN_ARGS)
+            assert (code, out) == (2, "")
+            assert f"must be positive: '{bound}'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +439,11 @@ def test_input_file_bad_schema(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--input", str(path)])
     assert exc.value.code == 2
+    # not JSON at all
+    path.write_text('{"alpha": "2",')
+    code, out, err = run_cli(capsys, "solve", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert f"invalid JSON in {path}: " in err
 
 
 def test_input_file_non_canonical_integer(tmp_path, capsys):
@@ -706,9 +717,12 @@ def test_main_is_reentrant(capsys):
         ["sumform", "--format", "json", "1", "1", "-13"],
         ["solve", "--check", *GOLDEN_ARGS],
         ["invariants", *GOLDEN_ARGS],
+        ["solve", "--check", "1", "0", "-1", "0", "0", "0"],  # no --bound
+        ["oracle", "--bound", "3000000", *GOLDEN_ARGS],  # over the row budget
+        ["solve", "--format", "json", "1", "0", "1", "0", "0", "1"],  # invalid
     ]
     in_process = [run_cli(capsys, *argv) for argv in calls]
-    assert in_process[1][0] == 2
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0, 4, 5, 1]
     alone = [
         subprocess.run(
             [sys.executable, "-m", "conicpoints", *argv], capture_output=True, text=True

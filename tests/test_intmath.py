@@ -179,11 +179,18 @@ def test_positive_divisors_hard_composites():
         561: {3: 1, 11: 1, 17: 1},
         41041: {7: 1, 11: 1, 13: 1, 41: 1},
         825265: {5: 1, 7: 1, 17: 1, 19: 1, 73: 1},
+        # rho's cycle closes modulo n itself inside a batch, so the batch
+        # is replayed one gcd at a time
+        393249138943: {587473: 1, 669391: 1},
+        61591786127: {136193: 1, 452239: 1},
+        132294114241: {277787: 1, 476243: 1},
     }
     for n, factors in cases.items():
         assert not is_prime(n)
         assert all(is_prime(p) for p in factors)
         assert positive_divisors(n) == _from_factors(factors)
+    # and nothing below 2 is prime
+    assert not any(map(is_prime, (0, 1, -7)))
 
 
 def test_positive_divisors_splits_psi12():
