@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateAlpha, DegenerateGamma, NotFactorable
+from .errors import DegenerateAlpha, DegenerateGamma, NotFactorable, _int_text
 from .intmath import integer_sqrt
 
 
@@ -119,7 +119,7 @@ def invariants_of(conic: Conic) -> Invariants:
     k = integer_sqrt(k2)
     if not k:
         raise NotFactorable(
-            f"beta^2 - 4*alpha*gamma = {k2} is not a positive perfect square"
+            f"beta^2 - 4*alpha*gamma = {_int_text(k2)} is not a positive perfect square"
         )
     m = 2 * alpha * epsilon - beta * delta
     delta_q = delta * delta - 4 * alpha * j

@@ -7,6 +7,14 @@ stable error documents without string-matching messages.
 from __future__ import annotations
 
 
+def _int_text(n: int) -> str:
+    """n in decimal below 2^14000 (4,215 digits), else "<b-bit integer>":
+    str() refuses ints over 4,300 digits under Python's default limit."""
+    if n.bit_length() <= 14000:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 class ConicError(ValueError):
     """Base class for rejected inputs and enforced resource limits."""
 

@@ -7,8 +7,10 @@ in any code path.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
-from .errors import DivisorLimitExceeded
+from .errors import DivisorLimitExceeded, _int_text
 
 # Points an answer may have: a finite solve tries one per signed divisor,
 # so positive_divisors refuses more than POINT_BUDGET / 2 divisors before
@@ -171,10 +173,15 @@ def _factorize(n: int) -> dict[int, int]:
         if p * p > rest:
             break
         if rest % p == 0:
+            # strip p, p^2, p^4, ... while they divide, until p does not:
+            # O(log(e)^2) divisions for p^e, not e
             e = 0
             while rest % p == 0:
-                rest //= p
-                e += 1
+                q, k = p, 1
+                while rest % q == 0:
+                    rest //= q
+                    e += k
+                    q, k = q * q, 2 * k
             factors[p] = e
     pending = [rest] if rest > 1 else []
     budget = _RHO_BUDGET
@@ -186,7 +193,7 @@ def _factorize(n: int) -> dict[int, int]:
         d, budget = _rho_split(m, budget)
         if d is None:
             raise DivisorLimitExceeded(
-                f"the cofactor {m} of {n} was not split within "
+                f"the cofactor {_int_text(m)} of {_int_text(n)} was not split within "
                 f"{_RHO_BUDGET} rho steps of 128 bits"
             )
         pending += (d, m // d)
@@ -213,12 +220,11 @@ def positive_divisors(n: int) -> list[int]:
     tau = math.prod(e + 1 for e in factors.values())
     if 2 * tau > POINT_BUDGET:
         raise DivisorLimitExceeded(
-            f"|{n}| has {tau} divisors, {2 * tau} signed, over the point "
+            f"|{_int_text(n)}| has {tau} divisors, {2 * tau} signed, over the point "
             f"budget of {POINT_BUDGET}"
         )
     divisors = [1]
     for p, e in factors.items():
-        powers = [p**i for i in range(1, e + 1)]
-        divisors += [d * q for q in powers for d in divisors]
+        divisors += [d * q for q in accumulate(repeat(p, e), mul) for d in divisors]
         divisors.sort()
     return divisors

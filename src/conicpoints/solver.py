@@ -11,7 +11,8 @@ exact rational solution is integral.  The determinant of the forms is
 4*alpha*k^3 != 0 (content reduction divides it by c1*c2), so (x, y) ->
 (F1, F2) is one to one: distinct splittings give distinct points and there
 is nothing to de-duplicate.  The same loop runs on the content-reduced
-forms and target, which give the same points from fewer divisors.
+forms and target, which give the same points from fewer divisors.  Every
+finite answer (solve, sumform, theorem1) comes from solve_finite.
 
 Degenerate case (I == 0): the conic is the union of the two lines F1 = 0 and
 F2 = 0, each an ordinary linear Diophantine equation.
@@ -238,15 +239,6 @@ def solve_difference_of_squares(l: int, m: int, j: int) -> FiniteSolutions:
     return FiniteSolutions(tuple(solve_finite(conic, inv)))
 
 
-def _check_power_of_two(beta: int, n: int) -> None:
-    if beta % 2 == 0:
-        raise ValueError("beta must be odd")
-    if beta * beta == 1:
-        raise ValueError("beta = +-1 makes gamma zero")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-
-
 def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
     """The monic unit-k conic whose invariant is exactly 2^n.
 
@@ -256,7 +248,12 @@ def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
     constant term gives j = (delta^2 - M^2 - 2^n)/4, an integer for every
     odd beta and n >= 2: delta - M and delta + M are both even.
     """
-    _check_power_of_two(beta, n)
+    if beta % 2 == 0:
+        raise ValueError("beta must be odd")
+    if beta * beta == 1:
+        raise ValueError("beta = +-1 makes gamma zero")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     m0 = 2 * epsilon - beta * delta
     num = delta * delta - m0 * m0 - (1 << n)
     gamma = (beta * beta - 1) // 4
@@ -269,33 +266,21 @@ def power_of_two_points(
 ) -> list[LatticePoint]:
     """The 2*(n-1) integral points of the power_of_two_conic family, sorted.
 
-    The divisors of 2^n pair up as (2^(i-1), 2^(n-i+1)); indices i = 2..n are
-    exactly the ones whose linear systems solve integrally, giving
+    Theorem 1 gives them in closed form: with M = 2*epsilon - beta*delta,
 
         x_i = (e*2^(i-2)*(beta+1) - e*2^(n-i)*(beta-1) - delta - M*beta) / 2
         y_i = e*2^(n-i) - e*2^(i-2) + M
 
-    for e = +-1, with M = 2*epsilon - beta*delta.  The numerator of x_i is
-    even because beta^2 - 1 is divisible by 8 for odd beta.  Distinct
-    splittings give distinct points, as in solve_finite.  Past the point
-    budget DivisorLimitExceeded is raised before anything of size 2^n is
-    built, as solve_finite would on the reduced target 2^(n-2); then the
-    arguments are checked as power_of_two_conic checks them, without
-    building the conic.
+    for i = 2..n and e = +-1.  solve_finite computes them: the reduced target
+    is 2^(n-2) and the reduced determinant 1, so each signed divisor is a
+    point.  Past the point budget DivisorLimitExceeded is raised before
+    anything of size 2^n is built, as solve_finite would raise on 2^(n-2);
+    then power_of_two_conic checks the arguments.
     """
     if 2 * (n - 1) > POINT_BUDGET:
         raise DivisorLimitExceeded(
             f"the reduced target 2^{n - 2} has {n - 1} divisors, {2 * (n - 1)} "
             f"signed, over the point budget of {POINT_BUDGET}"
         )
-    _check_power_of_two(beta, n)
-    m0 = 2 * epsilon - beta * delta
-    points = []
-    for i in range(2, n + 1):
-        lo = 1 << (i - 2)
-        hi = 1 << (n - i)
-        for e in (1, -1):
-            num = e * lo * (beta + 1) - e * hi * (beta - 1) - delta - m0 * beta
-            assert num % 2 == 0
-            points.append(LatticePoint(num // 2, e * hi - e * lo + m0))
-    return sorted(points)
+    conic = power_of_two_conic(beta, delta, epsilon, n)
+    return solve_finite(conic, invariants_of(conic))

@@ -27,6 +27,7 @@ from conicpoints import (
     validate,
 )
 from conicpoints.cli import main
+from test_solver import _theorem1_points
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
 
@@ -150,11 +151,12 @@ def test_criterion_5_power_of_two_family():
                 inst = power_of_two_conic(beta, delta, epsilon, n)
                 inv = invariants_of(inst)
                 assert inv.k == 1 and inv.big_i == 2**n
-                assert family == solve_finite(inst, inv)
+                # Theorem 1's closed form, independent of the divisor solver
+                assert family == _theorem1_points(beta, delta, epsilon, n)
                 swept += 1
     print(
         f"ACCEPTANCE 5: PASS power-of-two family: instance frozen, "
-        f"{swept} sweep cases with count 2(n-1) matching the solver"
+        f"{swept} sweep cases with count 2(n-1) matching Theorem 1's closed form"
     )
 
 

@@ -73,6 +73,12 @@ def test_hand_built_conic_meets_the_admissibility_gate(coeffs, error):
         solution_bound(conic)
 
 
+def test_not_factorable_past_the_int_str_digit_limit(default_int_str_limit):
+    # beta^2 - 4 = 10^4400 - 4 is named by its bit length, not in decimal
+    with pytest.raises(NotFactorable, match=r"gamma = <14617-bit integer> is not a"):
+        validate(1, 10**2200, 1, 0, 0, 1)
+
+
 def test_evaluate():
     conic, _ = validate(*GOLDEN)
     assert conic.evaluate(1, 0) == 0

@@ -16,6 +16,7 @@ from conicpoints import (
     integer_sqrt,
     positive_divisors,
 )
+from conicpoints.errors import _int_text
 from conicpoints.intmath import POINT_BUDGET, ceil_div, is_prime
 
 
@@ -127,7 +128,7 @@ def test_positive_divisors_rejects_zero_and_cap():
 SMALL_PRIMES_TO_61 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-def test_positive_divisors_point_budget():
+def test_positive_divisors_point_budget(default_int_str_limit):
     # 2*3*5*...*61 has 2^18 divisors, so its 2^19 signed ones (one
     # candidate point each) are past POINT_BUDGET; without the 2 they are
     # exactly at it
@@ -142,6 +143,27 @@ def test_positive_divisors_point_budget():
     finally:
         tracemalloc.stop()
     assert len(positive_divisors(n // 2)) == POINT_BUDGET // 2
+    # prime powers past the budget fail fast: each small prime is stripped
+    # by squaring, not one division per power
+    for power in (2**131074, 3**131073):
+        start = time.process_time()
+        with pytest.raises(DivisorLimitExceeded, match="over the point budget"):
+            positive_divisors(power)
+        assert time.process_time() - start < 1.0
+
+
+def test_divisor_budget_past_the_int_str_digit_limit(default_int_str_limit):
+    # from 2^14000 on a refusal names a number by its bit length: str()
+    # refuses more than 4,300 digits
+    with pytest.raises(DivisorLimitExceeded) as info:
+        positive_divisors(2**131074)
+    assert str(info.value) == (
+        "|<131075-bit integer>| has 131075 divisors, 262150 signed, "
+        f"over the point budget of {POINT_BUDGET}"
+    )
+    assert _int_text(2**14000 - 1) == str(2**14000 - 1)
+    assert _int_text(2**14000) == "<14001-bit integer>"
+    assert _int_text(-(2**14000)) == "-<14001-bit integer>"
 
 
 # Factorizations up to 10^14, the largest targets the benchmark times: each
@@ -155,10 +177,14 @@ NEAR_CAP = [
 ]
 
 
-@pytest.mark.parametrize("factors", NEAR_CAP)
+# a prime power far past 10^14, whose powers come from a running product
+PRIME_POWER = {3: 2000}
+
+
+@pytest.mark.parametrize("factors", [*NEAR_CAP, PRIME_POWER])
 def test_positive_divisors_known_factorizations(factors):
     n = math.prod(p**e for p, e in factors.items())
-    assert n <= 10**14
+    assert n <= 10**14 or factors is PRIME_POWER
     divs = positive_divisors(n)
     assert divs == _from_factors(factors)
     assert len(divs) == math.prod(e + 1 for e in factors.values())

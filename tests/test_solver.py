@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicpoints import (
+    Conic,
     DivisorLimitExceeded,
     FiniteSolutions,
     LatticePoint,
@@ -119,6 +120,13 @@ def test_solve_dispatch():
     lines = solve(validate(1, 0, -1, 0, 0, 0)[0])
     assert isinstance(lines, LinePair)
     assert all(line.solvable for line in lines.lines)
+
+
+def test_solve_past_the_int_str_digit_limit(default_int_str_limit):
+    # the 4,400-digit conic of the CLI's digit-limit test: rho gives up on
+    # a cofactor that is named, like the target, by its bit length
+    with pytest.raises(DivisorLimitExceeded, match=r"^the cofactor <\d+-bit integer> of <"):
+        solve(Conic(1, 0, -1, 10**2199, 0, 1))
 
 
 def test_sign_symmetry_when_linear_terms_vanish():
@@ -540,6 +548,26 @@ def test_solve_finite_matches_reference_large(coeffs, point, values):
 # ---------------------------------------------------------------------------
 # power-of-two invariant family
 
+def _theorem1_points(beta, delta, epsilon, n):
+    """Theorem 1's closed form for the power_of_two_conic family, sorted:
+
+        x_i = (e*2^(i-2)*(beta+1) - e*2^(n-i)*(beta-1) - delta - M*beta) / 2
+        y_i = e*2^(n-i) - e*2^(i-2) + M
+
+    for i = 2..n and e = +-1, with M = 2*epsilon - beta*delta.  The
+    numerator of x_i is even because 8 divides beta^2 - 1 for odd beta.
+    """
+    m0 = 2 * epsilon - beta * delta
+    points = []
+    for i in range(2, n + 1):
+        lo, hi = 1 << (i - 2), 1 << (n - i)
+        for e in (1, -1):
+            num = e * lo * (beta + 1) - e * hi * (beta - 1) - delta - m0 * beta
+            assert num % 2 == 0
+            points.append((num // 2, e * hi - e * lo + m0))
+    return sorted(points)
+
+
 def test_power_of_two_conic_recovers_constant():
     conic = power_of_two_conic(3, 0, 1, 4)
     assert (conic.alpha, conic.beta, conic.gamma) == (1, 3, 2)
@@ -558,6 +586,7 @@ def test_power_of_two_counts_and_agreement():
         for n in range(2, 41):
             pts = power_of_two_points(beta, 1, -2, n)
             assert len(pts) == 2 * (n - 1)
+            assert pts == _theorem1_points(beta, 1, -2, n)
             conic = power_of_two_conic(beta, 1, -2, n)
             inv = invariants_of(conic)
             assert inv.big_i == 2**n
@@ -593,8 +622,9 @@ def test_power_of_two_rejections(monkeypatch):
         power_of_two_points(-1, 0, 1, 4)
     with pytest.raises(ValueError, match="at least"):
         power_of_two_points(3, 0, 1, 1)
+    assert len(power_of_two_points(3, 0, 1, 4)) == 6
     # the point budget first, then beta odd, beta != +-1 and n >= 2 in that
-    # order, as power_of_two_conic checks them; the points build no conic
+    # order, as power_of_two_conic checks them, before it builds the conic
     monkeypatch.setattr(solver, "validate", lambda *args: pytest.fail("conic built"))
     for beta, n in [(2, 10**6), (1, 10**6), (-3, 131074)]:
         with pytest.raises(DivisorLimitExceeded, match="point budget"):
@@ -609,7 +639,6 @@ def test_power_of_two_rejections(monkeypatch):
             with pytest.raises(ValueError) as info:
                 build(beta, 0, 1, n)
             assert type(info.value) is ValueError and str(info.value) == message
-    assert len(power_of_two_points(3, 0, 1, 4)) == 6
 
 
 # ---------------------------------------------------------------------------
