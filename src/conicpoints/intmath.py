@@ -7,52 +7,75 @@ in any code path.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import mul
 
 from .errors import DivisorLimitExceeded, _int_text
 
+# The point and factoring budgets (the oracle's is oracle.ROW_BUDGET).  The
+# times below are CPU time on a 2-vCPU x86-64 machine with Python 3.11.
+#
 # Points an answer may have: a finite solve tries one per signed divisor,
 # so positive_divisors refuses more than POINT_BUDGET / 2 divisors before
 # building any, and a line pair's box under --check or oracle (two points a
-# row) is refused with exit code 5 past it.  At the edges, on a 2-vCPU
-# x86-64 machine with Python 3.11, `solve --format json` on the target
-# 3*5*...*61 took 0.7-0.9 s of CPU time, 16 MB of output and 105 MB peak,
-# and `solve --check --bound 65535 1 0 -1 0 0 0` 1.2-1.5 s and 46 MB.
+# row) is refused with exit code 5 past it.  At the edges, `solve --format
+# json` on the target 3*5*...*61 took 0.7-0.9 s of CPU time, 16 MB of output
+# and 105 MB peak, and `solve --check --bound 65535 1 0 -1 0 0 0` 1.2-1.5 s
+# and 46 MB.
 POINT_BUDGET = 1 << 18
-
-# Trial division by the primes below 2^10 comes first.  What is left has no
-# prime factor below 2^10, so any cofactor of it below 2^20 is prime.
-_SMALL_LIMIT = 1 << 10
-
-# Deterministic Miller-Rabin with the primes 2..37 as witnesses.  The test
-# is exact only below psi_12 = 318665857834031151167461, which is itself a
-# strong pseudoprime to all twelve bases (Sorenson & Webster 2015).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSI_12 = 318665857834031151167461
 
 # Work Brent's rho may spend in one positive_divisors call, in steps on a
 # 128-bit operand.  A step on an n-bit operand costs ceil(n/128)^2 of them:
 # multiplying and reducing modulo n take time at most quadratic in n's
 # size, so no operand size stretches the budget.  Splitting psi_12 takes
-# 450,558 steps at 79 bits.  On the machine above, running the budget out
-# took at most 0.46 s (on a 128-bit prime); on the operands tried from 129
-# bits to 4,400 digits it took at most 0.16 s.
+# 450,558 steps at 79 bits.  Running the budget out took at most 0.46 s (on
+# a 128-bit prime); on the operands tried from 129 bits to 4,400 digits it
+# took at most 0.16 s.
 _RHO_BUDGET = 1 << 19
+
+# Work the elliptic-curve method may spend in one positive_divisors call
+# once rho has run out, in multiplications modulo a 128-bit number, charged
+# by operand size as rho's steps are.  The Miller-Rabin test that must show
+# a cofactor composite is charged first, before it runs, at one
+# multiplication per bit and witness: on the 4,400-digit conic it alone is
+# over budget.  Splitting 39072923041 * 89193927323 takes 284,831 units
+# and 1000000000000037 * 1000000001000053 1,894,189.  Running the budget
+# out took at most 1.0 s (on semiprimes of 110 to 128 bits; 1.4 s with
+# rho's before it); from 129 bits to 512 it took at most 0.45 s.
+_ECM_BUDGET = 1 << 22
+
+# Trial division by the primes below 2^10 comes first.  What is left has no
+# prime factor below 2^10, so any cofactor of it below 2^20 is prime.
+_SMALL_LIMIT = 1 << 10
+
+# Deterministic Miller-Rabin with the primes 2..41 as witnesses.  The test
+# is exact only below psi_13 = 3317044064679887385961981, which is itself a
+# strong pseudoprime to all thirteen bases (Sorenson & Webster 2015).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
 # Differences multiplied together between two gcds in Brent's loop.
 _RHO_BATCH = 128
 
+# ECM's stage-1 bounds B1, each with the number of curves run at it; the
+# last runs until the budget is spent.  Stage 2 takes the primes up to
+# _ECM_B2 * B1 as m*_ECM_D +- j, with j below _ECM_D / 2 and prime to it.
+_ECM_STAGES = ((2000, 25), (11000, None))
+_ECM_B2 = 50
+_ECM_D = 210
 
-def _primes_below(limit: int) -> tuple[int, ...]:
+
+def _prime_flags(limit: int) -> bytearray:
+    """flags[i] == 1 exactly when i < limit is prime."""
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return sieve
 
 
-_SMALL_PRIMES = _primes_below(_SMALL_LIMIT)
+_SMALL_PRIMES = tuple(i for i, flag in enumerate(_prime_flags(_SMALL_LIMIT)) if flag)
 
 
 def integer_sqrt(n: int) -> int | None:
@@ -93,9 +116,9 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..37: exact for every n below psi_12.
+    """Miller-Rabin to the bases 2..41: exact for every n below psi_13.
 
-    At or above psi_12 a True answer means only "probable prime"; callers
+    At or above psi_13 a True answer means only "probable prime"; callers
     that need certainty there must not rely on it.
     """
     if n < 2:
@@ -161,11 +184,146 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
             return g, budget
 
 
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2P on the x-only Montgomery curve with a24 = (A + 2) / 4: 5 products."""
+    s = (x + z) ** 2 % n
+    t = (x - z) ** 2 % n
+    e = s - t
+    return s * t % n, e * (t + a24 * e) % n
+
+
+def _xadd(x: int, z: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P + Q from P, Q and P - Q = (xd:zd): 6 products."""
+    u = (x - z) * (xq + zq) % n
+    v = (x + z) * (xq - zq) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """kP and (k+1)P for P = (x:z) and k >= 1, by Montgomery's ladder:
+    11 products a bit of k after the first."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        # (R0, R1) becomes (R0 + R1, 2 R1) or (2 R0, R0 + R1); R1 - R0 = P
+        if bit == "1":
+            x0, z0, x1, z1 = *_xadd(x1, z1, x0, z0, x, z, n), *_xdbl(x1, z1, a24, n)
+        else:
+            x0, z0, x1, z1 = *_xdbl(x0, z0, a24, n), *_xadd(x0, z0, x1, z1, x, z, n)
+    return x0, z0, x1, z1
+
+
+def _ecm_tables(b1: int) -> tuple[int, list[int], list[bytes]]:
+    """ECM's tables for the stage-1 bound ``b1``: the product k of the
+    prime powers up to b1, the baby steps j, and for each giant step
+    m = b1 // _ECM_D, ... the indices i of the j_i with m*_ECM_D - j_i or
+    m*_ECM_D + j_i a prime in (b1, _ECM_B2 * b1]."""
+    b2 = _ECM_B2 * b1
+    flags = _prime_flags(b2 + 1)
+    k = 1
+    for p in range(2, b1 + 1):
+        if flags[p]:
+            q = p
+            while q * p <= b1:
+                q *= p
+            k *= q
+    babies = [j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1]
+    table = []
+    for m in range(b1 // _ECM_D, (b2 + _ECM_D // 2) // _ECM_D + 1):
+        c = m * _ECM_D
+        table.append(bytes(
+            i
+            for i, j in enumerate(babies)
+            if b1 < c - j <= b2 and flags[c - j] or b1 < c + j <= b2 and flags[c + j]
+        ))
+    return k, babies, table
+
+
+def _ecm_stage2(
+    x: int, z: int, a24: int, n: int, b1: int, babies: list[int], table: list[bytes]
+) -> int:
+    """The product of x(m*_ECM_D*Q) - x(jQ), projectively, over the pairs
+    (m, j) of ``table`` for Q = (x:z), modulo n: a prime p of n with
+    (m*_ECM_D -+ j)Q = 0 modulo p divides it."""
+    x2, z2 = _xdbl(x, z, a24, n)
+    odd = [(x, z), _xadd(x, z, x2, z2, x, z, n)]
+    while len(odd) <= _ECM_D // 4:
+        (xa, za), (xb, zb) = odd[-2:]
+        odd.append(_xadd(xb, zb, x2, z2, xa, za, n))
+    bx = [odd[j // 2][0] for j in babies]
+    bz = [odd[j // 2][1] for j in babies]
+    xd, zd = _xdbl(*odd[-1], a24, n)
+    xp, zp, xr, zr = _ladder(b1 // _ECM_D - 1, xd, zd, a24, n)
+    acc = 1
+    for row in table:
+        for i in row:
+            acc = acc * (xr * bz[i] - bx[i] * zr) % n
+        xr, zr, xp, zp = *_xadd(xr, zr, xd, zd, xp, zp, n), xr, zr
+    return acc
+
+
+def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
+    """A proper factor of ``n`` and the budget left.
+
+    Lenstra's elliptic-curve method (Ann. Math. 126, 1987) on Montgomery's
+    x-only curves (Math. Comp. 48, 1987), made deterministic: Suyama's
+    curves sigma = 6, 7, ..., stage 1 as one ladder over the product of the
+    prime powers up to B1, stage 2 on every prime up to _ECM_B2 * B1 in
+    giant steps of _ECM_D.  First the Miller-Rabin test must show ``n``
+    composite: a probable prime is never searched.  A stage that could take
+    the work spent past ``budget``, the test included, is not started; the
+    factor is then None.  Each product modulo n costs ceil(bits/128)^2
+    units of ``budget``.
+    """
+    unit = ceil_div(n.bit_length(), 128) ** 2
+    cost = len(_MR_WITNESSES) * n.bit_length() * unit
+    if cost > budget:
+        return None, budget
+    budget -= cost
+    if is_prime(n):
+        return None, budget
+    sigma = 5
+    for b1, curves in _ECM_STAGES:
+        k, babies, table = _ecm_tables(b1)
+        # the curve and the ladder over k; then 2Q, the odd jQ up to
+        # _ECM_D / 2, the giant step and the first two giant points, the
+        # giant steps and three products for each pair (m, j)
+        cost1 = (16 + 11 * (k.bit_length() - 1)) * unit
+        cost2 = (
+            10 + 6 * (_ECM_D // 4) + 11 * (b1 // _ECM_D).bit_length()
+            + 6 * len(table) + 3 * sum(map(len, table))
+        ) * unit
+        for _ in range(curves) if curves else count():
+            sigma += 1
+            if cost1 > budget:
+                return None, budget
+            budget -= cost1
+            # Suyama: x = u^3 / v^3 and a24 = (v - u)^3 (3u + v) / (16 u^3 v),
+            # both from the one inverse of 16 u^3 v^4
+            u, v = sigma * sigma - 5, 4 * sigma
+            den = 16 * u**3 * v**4 % n
+            g = math.gcd(den, n)
+            if g == 1:
+                w = pow(den, -1, n)
+                a24 = (v - u) ** 3 * (3 * u + v) * v**3 * w % n
+                x, z, _, _ = _ladder(k, 16 * u**6 * v * w % n, 1, a24, n)
+                g = math.gcd(z, n)
+            if g == 1:
+                if cost2 > budget:
+                    return None, budget
+                budget -= cost2
+                g = math.gcd(_ecm_stage2(x, z, a24, n, b1, babies, table), n)
+            if g != 1 and g != n:
+                return g, budget
+    return None, budget
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1.
 
-    Raises DivisorLimitExceeded naming the cofactor when rho runs out of
-    budget, so no factorization ever rests on an unproven prime.
+    Raises DivisorLimitExceeded naming the cofactor that neither rho nor
+    then ECM split within their budgets, so no factorization ever rests on
+    an unproven prime.
     """
     factors: dict[int, int] = {}
     rest = n
@@ -184,17 +342,19 @@ def _factorize(n: int) -> dict[int, int]:
                     q, k = q * q, 2 * k
             factors[p] = e
     pending = [rest] if rest > 1 else []
-    budget = _RHO_BUDGET
+    rho_budget, ecm_budget = _RHO_BUDGET, _ECM_BUDGET
     while pending:
         m = pending.pop()
-        if m < _SMALL_LIMIT * _SMALL_LIMIT or (m < _PSI_12 and is_prime(m)):
+        if m < _SMALL_LIMIT * _SMALL_LIMIT or (m < _PSI_13 and is_prime(m)):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d, budget = _rho_split(m, budget)
+        d, rho_budget = _rho_split(m, rho_budget)
+        if d is None:
+            d, ecm_budget = _ecm_split(m, ecm_budget)
         if d is None:
             raise DivisorLimitExceeded(
                 f"the cofactor {_int_text(m)} of {_int_text(n)} was not split within "
-                f"{_RHO_BUDGET} rho steps of 128 bits"
+                f"{_RHO_BUDGET} rho steps and {_ECM_BUDGET} ECM multiplications of 128 bits"
             )
         pending += (d, m // d)
     return factors
@@ -203,15 +363,15 @@ def _factorize(n: int) -> dict[int, int]:
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
-    Factors |n| first (small primes, then Miller-Rabin and Brent's rho on
-    what is left) and builds the divisors from the prime powers, so the
+    Factors |n| first (small primes, then Miller-Rabin, Brent's rho and ECM
+    on what is left) and builds the divisors from the prime powers, so the
     cost follows the size of the prime factors and the divisor count, not
     sqrt(|n|).  The list is sorted after each prime p^e: it then holds
     e + 1 sorted runs, one per power of p, which the sort only merges, with
     far fewer comparisons of large ints than one sort at the end.
     ``n == 0`` is rejected (every integer divides zero), and
-    DivisorLimitExceeded is raised for a cofactor rho does not split
-    within its budget and for more than POINT_BUDGET / 2 divisors.
+    DivisorLimitExceeded is raised for a cofactor rho and ECM do not split
+    within their budgets and for more than POINT_BUDGET / 2 divisors.
     """
     if n == 0:
         raise ValueError("0 has no finite divisor list")

@@ -32,7 +32,7 @@ from .conic import (
     invariants_of,
     validate,
 )
-from .errors import DivisorLimitExceeded
+from .errors import DivisorLimitExceeded, _int_text
 from .intmath import POINT_BUDGET, ceil_div, extended_gcd, positive_divisors
 
 
@@ -279,8 +279,8 @@ def power_of_two_points(
     """
     if 2 * (n - 1) > POINT_BUDGET:
         raise DivisorLimitExceeded(
-            f"the reduced target 2^{n - 2} has {n - 1} divisors, {2 * (n - 1)} "
-            f"signed, over the point budget of {POINT_BUDGET}"
+            f"the reduced target 2^{_int_text(n - 2)} has {_int_text(n - 1)} divisors, "
+            f"{_int_text(2 * (n - 1))} signed, over the point budget of {POINT_BUDGET}"
         )
     conic = power_of_two_conic(beta, delta, epsilon, n)
     return solve_finite(conic, invariants_of(conic))

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from conicpoints import (
     integer_sqrt,
     positive_divisors,
 )
+from conicpoints import intmath
 from conicpoints.errors import _int_text
 from conicpoints.intmath import POINT_BUDGET, ceil_div, is_prime
 
@@ -220,9 +222,10 @@ def test_positive_divisors_hard_composites():
 
 
 def test_positive_divisors_splits_psi12():
-    # psi_12 passes Miller-Rabin to every base 2..37; rho still splits it.
+    # psi_12 passes Miller-Rabin to every base 2..37, base 41 shows it
+    # composite, and rho splits it.
     psi12 = 318665857834031151167461
-    assert is_prime(psi12)
+    assert not is_prime(psi12)
     assert positive_divisors(psi12) == [
         1,
         399165290221,
@@ -231,23 +234,39 @@ def test_positive_divisors_splits_psi12():
     ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=DivisorLimitExceeded,
-    reason="deterministic Brent rho from y = 2, c = 1 runs out of its budget "
-    "on this 22-digit product of two proven primes near 4*10^10 and 9*10^10",
-)
+def test_positive_divisors_refuses_psi13(monkeypatch):
+    # psi_13 passes Miller-Rabin to every base 2..41, so it is never trusted
+    # as a prime; rho does not split it, and ECM never searches a number
+    # that Miller-Rabin calls prime
+    psi13 = 3317044064679887385961981
+    assert is_prime(psi13)
+    monkeypatch.setattr(intmath, "_ladder", None)
+    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {psi13} "):
+        positive_divisors(psi13)
+
+
 def test_positive_divisors_splits_rho_limit_semiprime():
+    # rho runs out of its budget on this 22-digit product of two proven
+    # primes near 4*10^10 and 9*10^10; ECM splits it
     p, q = 39072923041, 89193927323
     assert is_prime(p) and is_prime(q)
+    start = time.process_time()
+    assert positive_divisors(p * q) == [1, p, q, p * q]
+    assert time.process_time() - start < 1
+
+
+def test_positive_divisors_splits_ecm_semiprime():
+    # two primes near 10^15, past rho's reach
+    p, q = 1000000000000037, 1000000001000053
     assert positive_divisors(p * q) == [1, p, q, p * q]
 
 
 @pytest.mark.parametrize(
     "n",
     [
-        1000000000000037 * 1000000001000053,  # two primes near 10^15
-        2**89 - 1,  # a Mersenne prime above psi_12
+        # two proven primes near 10^23, past ECM's reach
+        100000000000000000000117 * 200000000000000000000069,
+        2**89 - 1,  # a Mersenne prime above psi_13
     ],
 )
 def test_positive_divisors_rho_budget(n):
@@ -255,6 +274,59 @@ def test_positive_divisors_rho_budget(n):
     with pytest.raises(DivisorLimitExceeded, match=f"cofactor {n} "):
         positive_divisors(n)
     assert time.perf_counter() - start < 2
+
+
+def test_ecm_is_deterministic():
+    # the same curves in the same order: the same factor for the same work,
+    # the units _ECM_BUDGET's comment gives
+    n = 39072923041 * 89193927323
+    factor, left = intmath._ecm_split(n, intmath._ECM_BUDGET)
+    assert (factor, intmath._ECM_BUDGET - left) == (89193927323, 284831)
+    assert intmath._ecm_split(n, intmath._ECM_BUDGET) == (factor, left)
+
+
+def _point_order(x, a24, p):
+    """The order of (x:1) on Suyama's curve modulo the prime p.
+
+    The group order is a multiple of 12 in the Hasse interval, so the first
+    such multiple that kills the point is a multiple of its order, and the
+    order is the smallest divisor of it that kills the point."""
+
+    def kills(r):
+        return intmath._ladder(r, x, 1, a24, p)[1] % p == 0
+
+    lo, hi = p + 1 - 2 * math.isqrt(p) - 2, p + 1 + 2 * math.isqrt(p) + 2
+    multiple = next(r for r in range(lo + -lo % 12, hi + 1, 12) if kills(r))
+    return next(d for d in positive_divisors(multiple) if kills(d))
+
+
+def test_ecm_stages_match_point_orders():
+    # modulo a prime p, stage 1 kills the point P exactly when its order
+    # divides k, and stage 2's product vanishes when the order q of Q = kP
+    # is a prime in (B1, B2], and not when q is past every giant step
+    p, b1 = 1000003, 420
+    b2 = intmath._ECM_B2 * b1
+    k, babies, table = intmath._ecm_tables(b1)
+    seen = Counter()
+    for sigma in range(6, 46):
+        u, v = sigma * sigma - 5, 4 * sigma
+        x = u**3 * pow(v**3, -1, p) % p
+        a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, p) % p
+        r = _point_order(x, a24, p)
+        q = r // math.gcd(r, k)
+        xk, zk, _, _ = intmath._ladder(k, x, 1, a24, p)
+        assert (zk % p == 0) == (q == 1)
+        if q == 1:
+            seen["stage 1"] += 1
+            continue
+        acc = intmath._ecm_stage2(xk, zk, a24, p, b1, babies, table) % p
+        if b1 < q <= b2 and is_prime(q):
+            assert acc == 0
+            seen["stage 2"] += 1
+        elif q > b2 + intmath._ECM_D:
+            assert acc != 0
+            seen["missed"] += 1
+    assert seen == {"stage 1": 12, "stage 2": 23, "missed": 5}
 
 
 def _next_probable_prime(n):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,7 @@ from conicpoints import (
     validate,
 )
 from conicpoints import intmath, solver
+from conicpoints.intmath import is_prime
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
 GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
@@ -125,8 +127,11 @@ def test_solve_dispatch():
 def test_solve_past_the_int_str_digit_limit(default_int_str_limit):
     # the 4,400-digit conic of the CLI's digit-limit test: rho gives up on
     # a cofactor that is named, like the target, by its bit length
+    start = time.process_time()
     with pytest.raises(DivisorLimitExceeded, match=r"^the cofactor <\d+-bit integer> of <"):
         solve(Conic(1, 0, -1, 10**2199, 0, 1))
+    # ECM's Miller-Rabin test is charged before it runs, so it is not run
+    assert time.process_time() - start < 0.5
 
 
 def test_sign_symmetry_when_linear_terms_vanish():
@@ -434,9 +439,11 @@ def test_solve_planted_target_counts(factors):
 # ---------------------------------------------------------------------------
 # the divisor loop against an independent Cramer reference
 
-def _cramer_reference(conic, inv, reduce):
+def _cramer_reference(conic, inv, reduce, factors=None):
     """One Cramer solve per signed divisor s1, with s2 = target // s1 and a
-    set of the integral solutions: the plain form of solve_finite's loop."""
+    set of the integral solutions: the plain form of solve_finite's loop.
+    With ``factors``, the divisors come from that factorization of the
+    target instead of from positive_divisors."""
     f1, f2 = factor_forms(conic, inv)
     target = inv.big_i
     if reduce:
@@ -447,8 +454,15 @@ def _cramer_reference(conic, inv, reduce):
     a1, b1, c1 = f1.cx, f1.cy, f1.c0
     a2, b2, c2 = f2.cx, f2.cy, f2.c0
     det = a1 * b2 - b1 * a2
+    if factors is None:
+        divisors = positive_divisors(target)
+    else:
+        assert math.prod(p**e for p, e in factors.items()) == abs(target)
+        divisors = [1]
+        for p, e in factors.items():
+            divisors = [d * p**i for d in divisors for i in range(e + 1)]
     found = set()
-    for d in positive_divisors(target):
+    for d in divisors:
         for s1 in (d, -d):
             r1 = s1 - c1
             r2 = target // s1 - c2
@@ -545,6 +559,48 @@ def test_solve_finite_matches_reference_large(coeffs, point, values):
     assert (x0, y0) in _assert_matches_reference(conic, inv, True)
 
 
+# Twenty-digit conics with a planted point from the benchmark's over-cap
+# slice (bench/overcap.json, digits20/1, /14 and /17), with the committed
+# factorizations of their reduced targets.  Each target has a composite
+# cofactor that rho does not split within its budget and ECM does.
+OVERCAP_SPLIT_BY_ECM = [
+    (
+        (1, -22113174511345175570, 66339523534035526701,
+         59854641873132934010, 12106445748622659243, 59854641873132934009),
+        {23: 1, 1021: 1, 19507: 1, 26729: 1, 53609: 1, 210869: 1,
+         815533723: 1, 11397366553: 1, 219937633712531863: 1},
+    ),
+    (
+        (1, 14209011520262442296, 85254069121574653740,
+         71167387487549854517, 47209118883811718765, 75871801696811889463),
+        {3: 5, 107: 1, 131: 1, 137: 1, 311: 1, 691: 1, 170707: 1, 13269523: 1,
+         22066616720377: 1, 79674087440180117387: 1},
+    ),
+    (
+        (1, 10937480532290144516, 65624883193740867060,
+         79122965549068149983, 72891952928237759417, -48456390040620331979),
+        {3: 2, 17: 1, 271: 1, 25037: 1, 80747: 1, 6778319: 1, 7617251: 1,
+         20998773121: 1, 3762664653370300761973: 1},
+    ),
+]
+
+
+@pytest.mark.parametrize("coeffs, factors", OVERCAP_SPLIT_BY_ECM)
+def test_solve_overcap_targets_split_by_ecm(monkeypatch, coeffs, factors):
+    conic, inv = validate(*coeffs)
+    # every prime is below psi_13, where Miller-Rabin is a proof
+    assert all(is_prime(p) and p < 3317044064679887385961981 for p in factors)
+    expected = _cramer_reference(conic, inv, True, factors)
+    assert expected
+    start = time.process_time()
+    assert list(solve(conic).points) == expected
+    assert time.process_time() - start < 4
+    # without ECM they are refused, as rho alone refused them
+    monkeypatch.setattr(intmath, "_ECM_BUDGET", 0)
+    with pytest.raises(DivisorLimitExceeded, match="rho steps"):
+        solve(conic)
+
+
 # ---------------------------------------------------------------------------
 # power-of-two invariant family
 
@@ -639,6 +695,18 @@ def test_power_of_two_rejections(monkeypatch):
             with pytest.raises(ValueError) as info:
                 build(beta, 0, 1, n)
             assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_power_of_two_points_budget_past_the_int_str_digit_limit(default_int_str_limit):
+    # the refusal names n - 2, n - 1 and 2(n - 1) by their bit length, so it
+    # stays a DivisorLimitExceeded under Python's default int/str limit
+    with pytest.raises(DivisorLimitExceeded) as info:
+        power_of_two_points(3, 0, 1, 10**4400)
+    assert str(info.value) == (
+        "the reduced target 2^<14617-bit integer> has <14617-bit integer> "
+        "divisors, <14618-bit integer> signed, over the point budget of "
+        f"{intmath.POINT_BUDGET}"
+    )
 
 
 # ---------------------------------------------------------------------------
