@@ -47,8 +47,8 @@ class DivisorLimitExceeded(ConicError):
     """Divisor enumeration was refused.
 
     One of the number's cofactors was not split within the factoring
-    budget, or the number has more divisors than the point budget allows;
-    the message names which.
+    budget or not proven prime within the proof budget, or the number has
+    more divisors than the point budget allows; the message names which.
     """
 
     code = "divisor-limit"

@@ -7,6 +7,7 @@ in any code path.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import accumulate, count, repeat
 from operator import mul
 
@@ -43,6 +44,18 @@ _RHO_BUDGET = 1 << 19
 # out took at most 1.0 s (on semiprimes of 110 to 128 bits; 1.4 s with
 # rho's before it); from 129 bits to 512 it took at most 0.45 s.
 _ECM_BUDGET = 1 << 22
+
+# Work the Pocklington proofs of one positive_divisors call may spend, in
+# multiplications modulo a 128-bit number charged by operand size as ECM's
+# are: their powers, their Miller-Rabin tests and ECM on the cofactors of
+# n - 1.  Rho's steps on those cofactors draw on a fresh _RHO_BUDGET, so
+# the proofs get as much as the factoring before them.  Proving the primes
+# above psi_13 in the benchmark's over-cap targets took at most 0.52 s (104
+# bits).  Running the budget out took at most 0.93 s, on 2*r*s + 1 with r
+# and s 19-digit primes (127 bits), and 0.24 s at 262 bits.  The factoring
+# comes first: with 39072923041 * 89193927323 to split off by ECM as well,
+# that refusal took 1.04 s in all.
+_PROOF_BUDGET = 1 << 22
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
 # prime factor below 2^10, so any cofactor of it below 2^20 is prime.
@@ -118,8 +131,9 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..41: exact for every n below psi_13.
 
-    At or above psi_13 a True answer means only "probable prime"; callers
-    that need certainty there must not rely on it.
+    At or above psi_13 a True answer means only "probable prime";
+    positive_divisors trusts such a prime only once Pocklington's theorem
+    has proven it (_proven).
     """
     if n < 2:
         return False
@@ -276,7 +290,7 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
     units of ``budget``.
     """
     unit = ceil_div(n.bit_length(), 128) ** 2
-    cost = len(_MR_WITNESSES) * n.bit_length() * unit
+    cost = _mr_cost(n)
     if cost > budget:
         return None, budget
     budget -= cost
@@ -318,14 +332,9 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
     return None, budget
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of n >= 1.
-
-    Raises DivisorLimitExceeded naming the cofactor that neither rho nor
-    then ECM split within their budgets, so no factorization ever rests on
-    an unproven prime.
-    """
-    factors: dict[int, int] = {}
+def _strip_small(n: int, factors: dict[int, int]) -> int:
+    """Divide the primes below _SMALL_LIMIT out of n >= 1 into ``factors``
+    and return what is left, which has no prime factor below 2^10."""
     rest = n
     for p in _SMALL_PRIMES:
         if p * p > rest:
@@ -341,22 +350,122 @@ def _factorize(n: int) -> dict[int, int]:
                     e += k
                     q, k = q * q, 2 * k
             factors[p] = e
+    return rest
+
+
+def _mr_cost(n: int) -> int:
+    """The Miller-Rabin test's charge: one product modulo n a bit and witness."""
+    return len(_MR_WITNESSES) * n.bit_length() * ceil_div(n.bit_length(), 128) ** 2
+
+
+def _pieces(rest: int, work: list[int]) -> Iterator[tuple[int, bool | None]]:
+    """The prime factors of ``rest``, which has none below 2^10, as found.
+
+    Yields (p, True) for a proven prime, (p, False) for a probable prime at
+    or above psi_13 and (m, None) for a cofactor not split within ``work``,
+    the rho steps and the multiplications left, which it draws down.  A
+    cofactor at or above psi_13 gets one Miller-Rabin test, charged before
+    it runs; only a composite goes on to rho and then ECM.
+    """
     pending = [rest] if rest > 1 else []
-    rho_budget, ecm_budget = _RHO_BUDGET, _ECM_BUDGET
     while pending:
         m = pending.pop()
         if m < _SMALL_LIMIT * _SMALL_LIMIT or (m < _PSI_13 and is_prime(m)):
-            factors[m] = factors.get(m, 0) + 1
+            yield m, True
             continue
-        d, rho_budget = _rho_split(m, rho_budget)
+        if m >= _PSI_13:
+            cost = _mr_cost(m)
+            if cost > work[1]:
+                yield m, None
+                continue
+            work[1] -= cost
+            if is_prime(m):
+                yield m, False
+                continue
+        d, work[0] = _rho_split(m, work[0])
         if d is None:
-            d, ecm_budget = _ecm_split(m, ecm_budget)
+            d, work[1] = _ecm_split(m, work[1])
         if d is None:
+            yield m, None
+        else:
+            pending += (d, m // d)
+
+
+def _proven(n: int, work: list[int]) -> bool:
+    """Whether the probable prime ``n`` is proven prime within ``work``.
+
+    Pocklington's theorem as Brillhart, Lehmer & Selfridge give it (Math.
+    Comp. 29, 1975): let F divide n - 1 with F^2 > n, and for each prime q
+    of F let some a have a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1
+    modulo n.  Then every prime factor of n is 1 modulo F, so n is prime.
+    F is the part of n - 1 that trial division, rho and ECM factor, taken
+    until F^2 > n; a prime of it at or above psi_13 is proven the same way
+    first.  A composite n never passes.  Each power is charged by its
+    exponent's bits, at ceil(bits/128)^2 units a product, like the rest of
+    ``work[1]``.
+    """
+    small: dict[int, int] = {}
+    pieces = _pieces(_strip_small(n - 1, small), work)
+    f = math.prod(p**e for p, e in small.items())
+    qs = set(small)
+    while f * f <= n:
+        piece = next(pieces, None)
+        if piece is None:
+            return False
+        m, prime = piece
+        # a cofactor not split stays out of F, and so does a probable prime
+        # not proven
+        if prime or (prime is False and _proven(m, work)):
+            f *= m
+            qs.add(m)
+    unit = ceil_div(n.bit_length(), 128) ** 2
+    for q in qs:
+        e = (n - 1) // q
+        cost = (e.bit_length() + q.bit_length()) * unit
+        for a in count(2):
+            if cost > work[1]:
+                return False
+            work[1] -= cost
+            y = pow(a, e, n)
+            if pow(y, q, n) != 1:
+                return False
+            g = math.gcd(y - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+    return True
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1.
+
+    Trial division, then rho and ECM on the composite cofactors.  A
+    probable prime at or above psi_13 is set aside until every composite is
+    split, then proven by Pocklington's theorem (_proven).  Raises
+    DivisorLimitExceeded naming the cofactor that neither rho nor then ECM
+    split within their budgets, or the probable prime not proven within
+    the proof budgets, so no factorization ever rests on an unproven prime.
+    """
+    factors: dict[int, int] = {}
+    probable: dict[int, int] = {}
+    for m, prime in _pieces(_strip_small(n, factors), [_RHO_BUDGET, _ECM_BUDGET]):
+        if prime is None:
             raise DivisorLimitExceeded(
                 f"the cofactor {_int_text(m)} of {_int_text(n)} was not split within "
                 f"{_RHO_BUDGET} rho steps and {_ECM_BUDGET} ECM multiplications of 128 bits"
             )
-        pending += (d, m // d)
+        counts = factors if prime else probable
+        counts[m] = counts.get(m, 0) + 1
+    work = [_RHO_BUDGET, _PROOF_BUDGET]
+    for m, e in probable.items():
+        if not _proven(m, work):
+            raise DivisorLimitExceeded(
+                f"the cofactor {_int_text(m)} of {_int_text(n)} is a probable prime not "
+                f"proven within {_RHO_BUDGET} rho steps and {_PROOF_BUDGET} "
+                "multiplications of 128 bits"
+            )
+        factors[m] = e
     return factors
 
 
@@ -364,14 +473,16 @@ def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
     Factors |n| first (small primes, then Miller-Rabin, Brent's rho and ECM
-    on what is left) and builds the divisors from the prime powers, so the
+    on what is left, and a Pocklington proof for each probable prime at or
+    above psi_13) and builds the divisors from the prime powers, so the
     cost follows the size of the prime factors and the divisor count, not
     sqrt(|n|).  The list is sorted after each prime p^e: it then holds
     e + 1 sorted runs, one per power of p, which the sort only merges, with
     far fewer comparisons of large ints than one sort at the end.
     ``n == 0`` is rejected (every integer divides zero), and
     DivisorLimitExceeded is raised for a cofactor rho and ECM do not split
-    within their budgets and for more than POINT_BUDGET / 2 divisors.
+    within their budgets, for a probable prime not proven within the proof
+    budgets and for more than POINT_BUDGET / 2 divisors.
     """
     if n == 0:
         raise ValueError("0 has no finite divisor list")

@@ -236,13 +236,64 @@ def test_positive_divisors_splits_psi12():
 
 def test_positive_divisors_refuses_psi13(monkeypatch):
     # psi_13 passes Miller-Rabin to every base 2..41, so it is never trusted
-    # as a prime; rho does not split it, and ECM never searches a number
-    # that Miller-Rabin calls prime
+    # as a prime; neither rho nor ECM searches a number that Miller-Rabin
+    # calls prime, and Pocklington's theorem does not prove a composite
     psi13 = 3317044064679887385961981
     assert is_prime(psi13)
+    rho_split = intmath._rho_split
+
+    def rho_not_on_psi13(n, budget):
+        assert n != psi13
+        return rho_split(n, budget)
+
+    monkeypatch.setattr(intmath, "_rho_split", rho_not_on_psi13)
     monkeypatch.setattr(intmath, "_ladder", None)
-    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {psi13} "):
+    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {psi13} .*not proven"):
         positive_divisors(psi13)
+
+
+# The probable primes at or above psi_13 in the reduced targets of the
+# benchmark's over-cap slice (bench/overcap.json, digits20/0, 3, 6, 9, 10,
+# 13, 16, 18 and 19), and Mersenne primes.
+PROVABLE_PRIMES = [
+    94539164323298405962151003,
+    16781620828710807719053846029773,
+    73144303872081026854048727027,
+    3549008165196016535315079042642869,
+    289602684623632532634988882711259,
+    16371365327659034441337746863,
+    1959154286288724544332695962495292731,
+    233900143235098519725271622351827,
+    277833612854703090768662362249,
+    2**89 - 1,
+    2**107 - 1,
+    2**127 - 1,
+]
+
+
+@pytest.mark.parametrize("p", PROVABLE_PRIMES)
+def test_positive_divisors_proves_primes_above_psi13(p):
+    assert p >= intmath._PSI_13
+    start = time.process_time()
+    assert positive_divisors(p) == [1, p]
+    assert time.process_time() - start < 1
+
+
+def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
+    # n - 1 = 2^3 * 17 * (2^89 - 1), and 136^2 < n, so F must include
+    # 2^89 - 1, which is above psi_13 and is proven first
+    n = 136 * (2**89 - 1) + 1
+    assert n == 84179922671405858693140447097
+    proven = intmath._proven
+    calls = []
+
+    def recording(m, work):
+        calls.append(m)
+        return proven(m, work)
+
+    monkeypatch.setattr(intmath, "_proven", recording)
+    assert positive_divisors(n) == [1, n]
+    assert calls == [n, 2**89 - 1]
 
 
 def test_positive_divisors_splits_rho_limit_semiprime():
@@ -266,7 +317,13 @@ def test_positive_divisors_splits_ecm_semiprime():
     [
         # two proven primes near 10^23, past ECM's reach
         100000000000000000000117 * 200000000000000000000069,
-        2**89 - 1,  # a Mersenne prime above psi_13
+        # 2*r*s + 1 with r the first prime after 10^39 and s the first
+        # prime after 2*10^39 for which it is a probable prime: its proof
+        # needs r or s, and rho and ECM do not split r*s
+        2
+        * 1000000000000000000000000000000000000003
+        * 2000000000000000000000000000000000003861
+        + 1,
     ],
 )
 def test_positive_divisors_rho_budget(n):

@@ -125,12 +125,13 @@ def test_solve_dispatch():
 
 
 def test_solve_past_the_int_str_digit_limit(default_int_str_limit):
-    # the 4,400-digit conic of the CLI's digit-limit test: rho gives up on
-    # a cofactor that is named, like the target, by its bit length
+    # the 4,400-digit conic of the CLI's digit-limit test: a cofactor that
+    # is named, like the target, by its bit length is refused
     start = time.process_time()
     with pytest.raises(DivisorLimitExceeded, match=r"^the cofactor <\d+-bit integer> of <"):
         solve(Conic(1, 0, -1, 10**2199, 0, 1))
-    # ECM's Miller-Rabin test is charged before it runs, so it is not run
+    # its Miller-Rabin test is charged before it runs, so neither it nor
+    # rho is run
     assert time.process_time() - start < 0.5
 
 
@@ -599,6 +600,36 @@ def test_solve_overcap_targets_split_by_ecm(monkeypatch, coeffs, factors):
     monkeypatch.setattr(intmath, "_ECM_BUDGET", 0)
     with pytest.raises(DivisorLimitExceeded, match="rho steps"):
         solve(conic)
+
+
+# Twenty-digit conics from the same slice (digits20/9 and /19) whose
+# reduced targets have a prime factor above psi_13, which is proven by
+# Pocklington's theorem.
+OVERCAP_PROVEN = [
+    (
+        (1, -11940911364915399717, 83586379554407797970,
+         26578972365668569683, -65429115344593746164, 26578972365668569682),
+        {2: 3, 3: 1, 5: 1, 13: 1, 17: 1, 2293: 1, 133811: 1, 185309: 1,
+         7861951: 1, 3549008165196016535315079042642869: 1},
+    ),
+    (
+        (1, 76785034258743227215, 76785034258743227214,
+         62928314549161690896, 19850844796234424615, 43077469752927266281),
+        {2: 1, 19: 1, 523: 1, 1942873: 1, 1436124581: 1, 29995635701: 1,
+         277833612854703090768662362249: 1},
+    ),
+]
+
+
+@pytest.mark.parametrize("coeffs, factors", OVERCAP_PROVEN)
+def test_solve_overcap_targets_with_a_proven_prime(coeffs, factors):
+    conic, inv = validate(*coeffs)
+    assert max(factors) >= 3317044064679887385961981
+    expected = _cramer_reference(conic, inv, True, factors)
+    assert expected
+    start = time.process_time()
+    assert list(solve(conic).points) == expected
+    assert time.process_time() - start < 1
 
 
 # ---------------------------------------------------------------------------
