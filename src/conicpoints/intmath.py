@@ -25,36 +25,44 @@ from .errors import DivisorLimitExceeded, _int_text
 # and 46 MB.
 POINT_BUDGET = 1 << 18
 
-# Work Brent's rho may spend in one positive_divisors call, in steps on a
-# 128-bit operand.  A step on an n-bit operand costs ceil(n/128)^2 of them:
-# multiplying and reducing modulo n take time at most quadratic in n's
-# size, so no operand size stretches the budget.  Splitting psi_12 takes
-# 450,558 steps at 79 bits.  Running the budget out took at most 0.46 s (on
-# a 128-bit prime); on the operands tried from 129 bits to 4,400 digits it
-# took at most 0.16 s.
+# The factoring and proof budgets count products modulo a number below
+# 2^128, the unit of their messages.  A product modulo an n-bit number of
+# w = ceil(n/30) 30-bit words is charged (23 + w^2) / 48 units, and at
+# least one (_charge): CPython multiplies and reduces word by word, so its
+# time is a fixed overhead plus a part that grows as w^2.  The charge is
+# never below the measured cost, so no operand size stretches a budget.
+# a*b % n against a 128-bit n (the least of 60 timed loops a size):
+#
+#   bits      150   180   210   240   270   330   540   1020   4080   14610
+#   measured  0.91  1.11  1.20  1.60  1.70  2.25  4.29  12.4   160    1708
+#   charged   1     1.23  1.50  1.81  2.17  3.00  7.23  24.6   386    4942
+
+# Work Brent's rho may spend in one positive_divisors call, in steps, each
+# charged as one product.  Splitting psi_12 takes 450,558 steps at 79 bits.
+# Running the budget out took at most 0.13 s from 100 bits to 4,000.
 _RHO_BUDGET = 1 << 19
 
 # Work the elliptic-curve method may spend in one positive_divisors call
-# once rho has run out, in multiplications modulo a 128-bit number, charged
-# by operand size as rho's steps are.  The Miller-Rabin test that must show
-# a cofactor composite is charged first, before it runs, at one
-# multiplication per bit and witness: on the 4,400-digit conic it alone is
-# over budget.  Splitting 39072923041 * 89193927323 takes 284,831 units
-# and 1000000000000037 * 1000000001000053 1,894,189.  Running the budget
-# out took at most 1.0 s (on semiprimes of 110 to 128 bits; 1.4 s with
-# rho's before it); from 129 bits to 512 it took at most 0.45 s.
+# once rho has run out, in units.  The Miller-Rabin test that shows a
+# cofactor at or above psi_13 composite is charged to it first, before it
+# runs, at one product per bit and witness: on the 4,400-digit conic it
+# alone is over budget.  Splitting 39072923041 * 89193927323 takes 346,905
+# units and 1000000000000037 * 1000000001000053 485,667.  Running the
+# budget out took at most 0.60 s from 100 bits to 4,000 (0.59 s at 128
+# bits, 0.60 s at 150, 0.36 s at 512, 0.20 s at 1,329); with rho and the
+# Miller-Rabin test before it, semiprimes of 116 to 800 bits were refused
+# in 0.36-0.80 s.
 _ECM_BUDGET = 1 << 22
 
 # Work the Pocklington proofs of one positive_divisors call may spend, in
-# multiplications modulo a 128-bit number charged by operand size as ECM's
-# are: their powers, their Miller-Rabin tests and ECM on the cofactors of
-# n - 1.  Rho's steps on those cofactors draw on a fresh _RHO_BUDGET, so
+# units: their powers, their Miller-Rabin tests and ECM on the cofactors
+# of n - 1.  Rho's steps on those cofactors draw on a fresh _RHO_BUDGET, so
 # the proofs get as much as the factoring before them.  Proving the primes
-# above psi_13 in the benchmark's over-cap targets took at most 0.52 s (104
-# bits).  Running the budget out took at most 0.93 s, on 2*r*s + 1 with r
-# and s 19-digit primes (127 bits), and 0.24 s at 262 bits.  The factoring
+# above psi_13 in the benchmark's over-cap targets took at most 0.23 s (104
+# bits).  Running the budget out took at most 0.85 s, on 2*r*s + 1 with r
+# and s 19-digit primes (124 bits), and 0.58 s at 262 bits.  The factoring
 # comes first: with 39072923041 * 89193927323 to split off by ECM as well,
-# that refusal took 1.04 s in all.
+# that refusal took 1.00 s in all.
 _PROOF_BUDGET = 1 << 22
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
@@ -70,12 +78,18 @@ _PSI_13 = 3317044064679887385961981
 # Differences multiplied together between two gcds in Brent's loop.
 _RHO_BATCH = 128
 
-# ECM's stage-1 bounds B1, each with the number of curves run at it; the
-# last runs until the budget is spent.  Stage 2 takes the primes up to
+# ECM's stages, (B1, curves): the curves go to each stage in turn, the last
+# one until the budget is spent.  Stage 2 takes the primes up to
 # _ECM_B2 * B1 as m*_ECM_D +- j, with j below _ECM_D / 2 and prime to it.
-_ECM_STAGES = ((2000, 25), (11000, None))
-_ECM_B2 = 50
+# Below 151 bits the 18 curves at B1 = 3000, which find most primes of up
+# to 16 digits, take 30% of _ECM_BUDGET and leave 11 curves at B1 = 11000
+# for larger ones.
+_ECM_STAGES = ((3000, 18), (11000, None))
+_ECM_B2 = 60
 _ECM_D = 210
+# What _ecm_split charges for pow(a, -1, n): 33-35 products measured from
+# 100 bits to 4,096.
+_INVERSE = 40
 
 
 def _prime_flags(limit: int) -> bytearray:
@@ -158,6 +172,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _charge(n: int, products: int) -> int:
+    """The charge, in products modulo a number below 2^128, of ``products``
+    products modulo ``n``: (23 + w^2) / 48 of a unit each for n of w 30-bit
+    words, rounded up, and at least one unit."""
+    words = ceil_div(n.bit_length(), 30)
+    return ceil_div(products * max(48, 23 + words * words), 48)
+
+
 def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     """A proper factor of the odd composite ``n`` and the budget left.
 
@@ -165,15 +187,14 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     deterministic: start at 2 with f(x) = x^2 + c, taking c = 1, 2, ... in
     turn whenever the cycle closes modulo n itself (g == n).  A round that
     could take the work spent past ``budget`` is not started; the factor
-    is then None.  Each step costs ceil(bits/128)^2 units of ``budget``.
+    is then None.  Each step is charged _charge(n, 1) units of ``budget``.
     """
-    cost = ceil_div(n.bit_length(), 128) ** 2
     c = 0
     while True:
         c += 1
         y, q, g, r = 2, 1, 1, 1
         while g == 1:
-            if 2 * r * cost > budget:
+            if _charge(n, 2 * r) > budget:
                 return None, budget
             x = y
             for _ in range(r):
@@ -186,7 +207,7 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += _RHO_BATCH
-            budget -= (r + min(k, r)) * cost
+            budget -= _charge(n, r + min(k, r))
             r *= 2
         if g == n:
             # The batch overshot; replay it one gcd at a time.
@@ -256,57 +277,67 @@ def _ecm_tables(b1: int) -> tuple[int, list[int], list[bytes]]:
 def _ecm_stage2(
     x: int, z: int, a24: int, n: int, b1: int, babies: list[int], table: list[bytes]
 ) -> int:
-    """The product of x(m*_ECM_D*Q) - x(jQ), projectively, over the pairs
-    (m, j) of ``table`` for Q = (x:z), modulo n: a prime p of n with
-    (m*_ECM_D -+ j)Q = 0 modulo p divides it."""
+    """The product of x(m*_ECM_D*Q) - x(jQ) over the pairs (m, j) of
+    ``table`` for Q = (x:z), modulo n: a prime p of n with
+    (m*_ECM_D -+ j)Q = 0 modulo p divides it.  Every jQ and m*_ECM_D*Q is
+    first brought to z = 1 by one inversion (Montgomery's batch trick), so a
+    pair costs one product.  Where that inversion fails, the product of the
+    z's is returned instead: a prime of n that divides it divides some z."""
     x2, z2 = _xdbl(x, z, a24, n)
     odd = [(x, z), _xadd(x, z, x2, z2, x, z, n)]
     while len(odd) <= _ECM_D // 4:
         (xa, za), (xb, zb) = odd[-2:]
         odd.append(_xadd(xb, zb, x2, z2, xa, za, n))
-    bx = [odd[j // 2][0] for j in babies]
-    bz = [odd[j // 2][1] for j in babies]
     xd, zd = _xdbl(*odd[-1], a24, n)
     xp, zp, xr, zr = _ladder(b1 // _ECM_D - 1, xd, zd, a24, n)
-    acc = 1
-    for row in table:
-        for i in row:
-            acc = acc * (xr * bz[i] - bx[i] * zr) % n
+    points = [odd[j // 2] for j in babies]
+    for _ in table:
+        points.append((xr, zr))
         xr, zr, xp, zp = *_xadd(xr, zr, xd, zd, xp, zp, n), xr, zr
+    prefix = list(accumulate([zi for _, zi in points], lambda a, b: a * b % n))
+    if math.gcd(prefix[-1], n) != 1:
+        return prefix[-1]
+    inverse = pow(prefix[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, 0, -1):
+        # inverse is 1 / (z_0 ... z_i) here
+        xi, zi = points[i]
+        xs[i] = xi * inverse * prefix[i - 1] % n
+        inverse = inverse * zi % n
+    xs[0] = points[0][0] * inverse % n
+    bx = xs[: len(babies)]
+    acc = 1
+    for xg, row in zip(xs[len(babies) :], table):
+        for i in row:
+            acc = acc * (xg - bx[i]) % n
     return acc
 
 
 def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
-    """A proper factor of ``n`` and the budget left.
+    """A proper factor of the odd composite ``n`` and the budget left.
 
     Lenstra's elliptic-curve method (Ann. Math. 126, 1987) on Montgomery's
     x-only curves (Math. Comp. 48, 1987), made deterministic: Suyama's
-    curves sigma = 6, 7, ..., stage 1 as one ladder over the product of the
-    prime powers up to B1, stage 2 on every prime up to _ECM_B2 * B1 in
-    giant steps of _ECM_D.  First the Miller-Rabin test must show ``n``
-    composite: a probable prime is never searched.  A stage that could take
-    the work spent past ``budget``, the test included, is not started; the
-    factor is then None.  Each product modulo n costs ceil(bits/128)^2
-    units of ``budget``.
+    curves sigma = 6, 7, ..., for each stage (B1, curves) of _ECM_STAGES
+    stage 1 as one ladder over the product of the prime powers up to B1,
+    stage 2 on every prime up to _ECM_B2 * B1 in giant steps of _ECM_D.
+    A stage that could take the work spent past ``budget`` is not started;
+    the factor is then None.  Each product modulo n is charged as
+    _charge(n, products) gives.
     """
-    unit = ceil_div(n.bit_length(), 128) ** 2
-    cost = _mr_cost(n)
-    if cost > budget:
-        return None, budget
-    budget -= cost
-    if is_prime(n):
-        return None, budget
     sigma = 5
     for b1, curves in _ECM_STAGES:
         k, babies, table = _ecm_tables(b1)
-        # the curve and the ladder over k; then 2Q, the odd jQ up to
-        # _ECM_D / 2, the giant step and the first two giant points, the
-        # giant steps and three products for each pair (m, j)
-        cost1 = (16 + 11 * (k.bit_length() - 1)) * unit
-        cost2 = (
-            10 + 6 * (_ECM_D // 4) + 11 * (b1 // _ECM_D).bit_length()
-            + 6 * len(table) + 3 * sum(map(len, table))
-        ) * unit
+        # the curve, its inverse and the ladder over k; then 2Q, the odd jQ
+        # up to _ECM_D / 2, the giant step and the first two giant points, a
+        # giant step for each row, 4 products a point and an inverse to
+        # bring the points to z = 1, and one product for each pair (m, j)
+        cost1 = _charge(n, 16 + _INVERSE + 11 * (k.bit_length() - 1))
+        cost2 = _charge(
+            n,
+            10 + 6 * (_ECM_D // 4) + 11 * (b1 // _ECM_D).bit_length() + 6 * len(table)
+            + 4 * (len(babies) + len(table)) + _INVERSE + sum(map(len, table)),
+        )
         for _ in range(curves) if curves else count():
             sigma += 1
             if cost1 > budget:
@@ -353,9 +384,14 @@ def _strip_small(n: int, factors: dict[int, int]) -> int:
     return rest
 
 
-def _mr_cost(n: int) -> int:
-    """The Miller-Rabin test's charge: one product modulo n a bit and witness."""
-    return len(_MR_WITNESSES) * n.bit_length() * ceil_div(n.bit_length(), 128) ** 2
+def _split(m: int, work: list[int]) -> int | None:
+    """A proper factor of the odd composite ``m`` by rho and then ECM, or
+    None, drawing down ``work``, the rho steps and the multiplications
+    left."""
+    d, work[0] = _rho_split(m, work[0])
+    if d is None:
+        d, work[1] = _ecm_split(m, work[1])
+    return d
 
 
 def _pieces(rest: int, work: list[int]) -> Iterator[tuple[int, bool | None]]:
@@ -374,7 +410,7 @@ def _pieces(rest: int, work: list[int]) -> Iterator[tuple[int, bool | None]]:
             yield m, True
             continue
         if m >= _PSI_13:
-            cost = _mr_cost(m)
+            cost = _charge(m, len(_MR_WITNESSES) * m.bit_length())
             if cost > work[1]:
                 yield m, None
                 continue
@@ -382,17 +418,16 @@ def _pieces(rest: int, work: list[int]) -> Iterator[tuple[int, bool | None]]:
             if is_prime(m):
                 yield m, False
                 continue
-        d, work[0] = _rho_split(m, work[0])
-        if d is None:
-            d, work[1] = _ecm_split(m, work[1])
+        d = _split(m, work)
         if d is None:
             yield m, None
         else:
             pending += (d, m // d)
 
 
-def _proven(n: int, work: list[int]) -> bool:
-    """Whether the probable prime ``n`` is proven prime within ``work``.
+def _proven(n: int, work: list[int]) -> bool | None:
+    """Whether the probable prime ``n`` is prime: True when proven, False
+    when shown composite and None when ``work`` ran out first.
 
     Pocklington's theorem as Brillhart, Lehmer & Selfridge give it (Math.
     Comp. 29, 1975): let F divide n - 1 with F^2 > n, and for each prime q
@@ -400,9 +435,9 @@ def _proven(n: int, work: list[int]) -> bool:
     modulo n.  Then every prime factor of n is 1 modulo F, so n is prime.
     F is the part of n - 1 that trial division, rho and ECM factor, taken
     until F^2 > n; a prime of it at or above psi_13 is proven the same way
-    first.  A composite n never passes.  Each power is charged by its
-    exponent's bits, at ceil(bits/128)^2 units a product, like the rest of
-    ``work[1]``.
+    first.  A composite n never passes: a^(n-1) != 1 or a proper gcd shows
+    it composite.  Each power is charged by its exponent's bits, as
+    _charge(n, bits) units, like the rest of ``work[1]``.
     """
     small: dict[int, int] = {}
     pieces = _pieces(_strip_small(n - 1, small), work)
@@ -411,20 +446,19 @@ def _proven(n: int, work: list[int]) -> bool:
     while f * f <= n:
         piece = next(pieces, None)
         if piece is None:
-            return False
+            return None
         m, prime = piece
         # a cofactor not split stays out of F, and so does a probable prime
         # not proven
         if prime or (prime is False and _proven(m, work)):
             f *= m
             qs.add(m)
-    unit = ceil_div(n.bit_length(), 128) ** 2
     for q in qs:
         e = (n - 1) // q
-        cost = (e.bit_length() + q.bit_length()) * unit
+        cost = _charge(n, e.bit_length() + q.bit_length())
         for a in count(2):
             if cost > work[1]:
-                return False
+                return None
             work[1] -= cost
             y = pow(a, e, n)
             if pow(y, q, n) != 1:
@@ -442,31 +476,54 @@ def _factorize(n: int) -> dict[int, int]:
 
     Trial division, then rho and ECM on the composite cofactors.  A
     probable prime at or above psi_13 is set aside until every composite is
-    split, then proven by Pocklington's theorem (_proven).  Raises
-    DivisorLimitExceeded naming the cofactor that neither rho nor then ECM
-    split within their budgets, or the probable prime not proven within
-    the proof budgets, so no factorization ever rests on an unproven prime.
+    split, then proven by Pocklington's theorem (_proven); one that the
+    proof shows composite goes on to rho and ECM with what is left of their
+    budgets.  Raises DivisorLimitExceeded naming the cofactor that neither
+    rho nor then ECM split within their budgets, such a composite included,
+    or the probable prime not proven within the proof budgets, so no
+    factorization ever rests on an unproven prime.
     """
     factors: dict[int, int] = {}
     probable: dict[int, int] = {}
-    for m, prime in _pieces(_strip_small(n, factors), [_RHO_BUDGET, _ECM_BUDGET]):
-        if prime is None:
-            raise DivisorLimitExceeded(
-                f"the cofactor {_int_text(m)} of {_int_text(n)} was not split within "
-                f"{_RHO_BUDGET} rho steps and {_ECM_BUDGET} ECM multiplications of 128 bits"
-            )
-        counts = factors if prime else probable
-        counts[m] = counts.get(m, 0) + 1
-    work = [_RHO_BUDGET, _PROOF_BUDGET]
-    for m, e in probable.items():
-        if not _proven(m, work):
+    work = [_RHO_BUDGET, _ECM_BUDGET]
+    proof = [_RHO_BUDGET, _PROOF_BUDGET]
+    # cofactors to split, each with the power of it that divides n
+    rests = [(_strip_small(n, factors), 1)]
+    not_split = (
+        f"not split within {_RHO_BUDGET} rho steps and {_ECM_BUDGET} ECM "
+        "multiplications of 128 bits"
+    )
+    while True:
+        while rests:
+            rest, e = rests.pop()
+            for m, prime in _pieces(rest, work):
+                if prime is None:
+                    raise DivisorLimitExceeded(
+                        f"the cofactor {_int_text(m)} of {_int_text(n)} was {not_split}"
+                    )
+                counts = factors if prime else probable
+                counts[m] = counts.get(m, 0) + e
+        if not probable:
+            return factors
+        m = next(iter(probable))
+        e = probable.pop(m)
+        proven = _proven(m, proof)
+        if proven is None:
             raise DivisorLimitExceeded(
                 f"the cofactor {_int_text(m)} of {_int_text(n)} is a probable prime not "
                 f"proven within {_RHO_BUDGET} rho steps and {_PROOF_BUDGET} "
                 "multiplications of 128 bits"
             )
-        factors[m] = e
-    return factors
+        if proven:
+            factors[m] = factors.get(m, 0) + e
+            continue
+        d = _split(m, work)
+        if d is None:
+            raise DivisorLimitExceeded(
+                f"the cofactor {_int_text(m)} of {_int_text(n)} is composite and was "
+                f"{not_split}"
+            )
+        rests += [(d, e), (m // d, e)]
 
 
 def positive_divisors(n: int) -> list[int]:

@@ -234,28 +234,75 @@ def test_positive_divisors_splits_psi12():
     ]
 
 
-def test_positive_divisors_refuses_psi13(monkeypatch):
-    # psi_13 passes Miller-Rabin to every base 2..41, so it is never trusted
-    # as a prime; neither rho nor ECM searches a number that Miller-Rabin
-    # calls prime, and Pocklington's theorem does not prove a composite
+def test_positive_divisors_splits_psi13(monkeypatch):
+    # psi_13 passes Miller-Rabin to every base 2..41, so it is set aside as
+    # a probable prime and rho does not search it; Pocklington's test shows
+    # it composite (base 43 fails Fermat), and only then do rho and ECM
+    # split it
     psi13 = 3317044064679887385961981
     assert is_prime(psi13)
-    rho_split = intmath._rho_split
+    rho_split, proven = intmath._rho_split, intmath._proven
+    composite = []
 
-    def rho_not_on_psi13(n, budget):
-        assert n != psi13
+    def rho_after_the_proof(n, budget):
+        assert n != psi13 or psi13 in composite
         return rho_split(n, budget)
 
-    monkeypatch.setattr(intmath, "_rho_split", rho_not_on_psi13)
-    monkeypatch.setattr(intmath, "_ladder", None)
-    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {psi13} .*not proven"):
+    def recording(n, work):
+        result = proven(n, work)
+        if result is False:
+            composite.append(n)
+        return result
+
+    monkeypatch.setattr(intmath, "_rho_split", rho_after_the_proof)
+    monkeypatch.setattr(intmath, "_proven", recording)
+    start = time.process_time()
+    assert positive_divisors(psi13) == [1, 1287836182261, 2575672364521, psi13]
+    assert time.process_time() - start < 2
+    assert composite == [psi13]
+
+
+def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
+    # with psi_13^2 split as psi_13 * psi_13, the probable prime psi_13
+    # counts twice; the proof shows it composite, and each of its pieces is
+    # factored once and counted twice
+    psi13 = 3317044064679887385961981
+    split, pieces = intmath._split, intmath._pieces
+    fed = []
+
+    def recording(rest, work):
+        fed.append(rest)
+        return pieces(rest, work)
+
+    monkeypatch.setattr(
+        intmath, "_split", lambda m, work: psi13 if m == psi13**2 else split(m, work)
+    )
+    monkeypatch.setattr(intmath, "_pieces", recording)
+    assert intmath._factorize(psi13**2) == {1287836182261: 2, 2575672364521: 2}
+    assert [fed.count(m) for m in (psi13**2, 1287836182261, 2575672364521)] == [1, 1, 1]
+
+
+def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
+    # a probable prime the proof shows composite is refused as composite
+    # when rho and ECM do not split it, not as a prime not proven
+    psi13 = 3317044064679887385961981
+    split = intmath._split
+    monkeypatch.setattr(
+        intmath, "_split", lambda m, work: None if m == psi13 else split(m, work)
+    )
+    with pytest.raises(
+        DivisorLimitExceeded, match=f"cofactor {psi13} of {psi13} is composite and was not split"
+    ):
         positive_divisors(psi13)
 
 
 # The probable primes at or above psi_13 in the reduced targets of the
-# benchmark's over-cap slice (bench/overcap.json, digits20/0, 3, 6, 9, 10,
-# 13, 16, 18 and 19), and Mersenne primes.
+# benchmark's over-cap slice (bench/overcap.json, digits20/0, 3, 4, 5, 6,
+# 9, 10, 13, 15, 16, 18 and 19), and Mersenne primes.
 PROVABLE_PRIMES = [
+    129038938365214773537858908429,
+    386148255740571217985298156305067121,
+    735111315620892362126623507937917549,
     94539164323298405962151003,
     16781620828710807719053846029773,
     73144303872081026854048727027,
@@ -333,12 +380,25 @@ def test_positive_divisors_rho_budget(n):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("bits", [129, 256])
+def test_positive_divisors_refuses_unsplit_composites_above_128_bits(bits):
+    # a product modulo a 129- to 256-bit number is charged 1 to 2.17 units,
+    # about what it costs, so rho and ECM run about as long here as below
+    # 128 bits before a semiprime of two 20- or 39-digit primes is refused
+    n = _next_probable_prime(1 << (bits // 2)) * _next_probable_prime(3 << (bits - bits // 2 - 2))
+    assert n.bit_length() == bits
+    start = time.process_time()
+    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {n} .*ECM multiplications"):
+        positive_divisors(n)
+    assert time.process_time() - start < 3
+
+
 def test_ecm_is_deterministic():
     # the same curves in the same order: the same factor for the same work,
     # the units _ECM_BUDGET's comment gives
     n = 39072923041 * 89193927323
     factor, left = intmath._ecm_split(n, intmath._ECM_BUDGET)
-    assert (factor, intmath._ECM_BUDGET - left) == (89193927323, 284831)
+    assert (factor, intmath._ECM_BUDGET - left) == (89193927323, 346905)
     assert intmath._ecm_split(n, intmath._ECM_BUDGET) == (factor, left)
 
 

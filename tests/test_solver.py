@@ -33,6 +33,7 @@ from conicpoints import (
 )
 from conicpoints import intmath, solver
 from conicpoints.intmath import is_prime
+from test_intmath import PROVABLE_PRIMES
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
 GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
@@ -561,9 +562,12 @@ def test_solve_finite_matches_reference_large(coeffs, point, values):
 
 
 # Twenty-digit conics with a planted point from the benchmark's over-cap
-# slice (bench/overcap.json, digits20/1, /14 and /17), with the committed
-# factorizations of their reduced targets.  Each target has a composite
-# cofactor that rho does not split within its budget and ECM does.
+# slice (bench/overcap.json, digits20/1, /14, /17, /4, /5 and /15), with
+# the committed factorizations of their reduced targets.  Each target has a
+# composite cofactor that rho does not split within its budget and ECM
+# does; in /4, /5 and /15 it has a 15-, a 16- and a 14-digit prime factor
+# and a prime factor above psi_13, which is proven by Pocklington's
+# theorem.
 OVERCAP_SPLIT_BY_ECM = [
     (
         (1, -22113174511345175570, 66339523534035526701,
@@ -583,14 +587,33 @@ OVERCAP_SPLIT_BY_ECM = [
         {3: 2, 17: 1, 271: 1, 25037: 1, 80747: 1, 6778319: 1, 7617251: 1,
          20998773121: 1, 3762664653370300761973: 1},
     ),
+    (
+        (1, 32642017593602603612, 65284035187205207220,
+         34483282722507351701, 99413854504227469488, -93109184205063745428),
+        {3: 1, 7: 1, 283: 1, 13381: 1, 13765789: 1, 236231897588977: 1,
+         129038938365214773537858908429: 1},
+    ),
+    (
+        (1, 50179865452388242748, 50179865452388242747,
+         12912684545706367143, -24347444704137281725, -25825369091412734290),
+        {2: 3, 839: 1, 2801: 1, 1407970404653089: 1,
+         386148255740571217985298156305067121: 1},
+    ),
+    (
+        (1, 13223598976408552059, 79341593858451312318,
+         -85046997544121540057, 58055690658765244919, 78072911185922406748),
+        {2: 4, 17: 1, 19: 1, 181: 1, 61463: 1, 15446342436607: 1,
+         735111315620892362126623507937917549: 1},
+    ),
 ]
 
 
 @pytest.mark.parametrize("coeffs, factors", OVERCAP_SPLIT_BY_ECM)
 def test_solve_overcap_targets_split_by_ecm(monkeypatch, coeffs, factors):
     conic, inv = validate(*coeffs)
-    # every prime is below psi_13, where Miller-Rabin is a proof
-    assert all(is_prime(p) and p < 3317044064679887385961981 for p in factors)
+    # Miller-Rabin is a proof below psi_13; the primes above it, in /4, /5
+    # and /15, are proven in tests/test_intmath.py
+    assert all(is_prime(p) and (p < intmath._PSI_13 or p in PROVABLE_PRIMES) for p in factors)
     expected = _cramer_reference(conic, inv, True, factors)
     assert expected
     start = time.process_time()
