@@ -46,9 +46,10 @@ class NotFactorable(ConicError):
 class DivisorLimitExceeded(ConicError):
     """Divisor enumeration was refused.
 
-    One of the number's cofactors was not split within the factoring
-    budget or not proven prime within the proof budget, or the number has
-    more divisors than the point budget allows; the message names which.
+    One of the number's cofactors was not split or not proven prime
+    within the one factoring budget, which rho, ECM and the primality
+    proofs share, or the number has more divisors than the point budget
+    allows; the message names which.
     """
 
     code = "divisor-limit"

@@ -7,7 +7,6 @@ in any code path.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from itertools import accumulate, count, repeat
 from operator import mul
 
@@ -25,45 +24,32 @@ from .errors import DivisorLimitExceeded, _int_text
 # and 46 MB.
 POINT_BUDGET = 1 << 18
 
-# The factoring and proof budgets count products modulo a number below
-# 2^128, the unit of their messages.  A product modulo an n-bit number of
-# w = ceil(n/30) 30-bit words is charged (23 + w^2) / 48 units, and at
+# The factoring budget: the work one positive_divisors call may spend on
+# rho's steps, the Miller-Rabin tests it charges, ECM and the Pocklington
+# proofs, counted down on one meter in units of a product modulo a number
+# below 2^128, the unit of its messages.  A product modulo an n-bit number
+# of w = ceil(n/30) 30-bit words is charged (23 + w^2) / 48 units, and at
 # least one (_charge): CPython multiplies and reduces word by word, so its
 # time is a fixed overhead plus a part that grows as w^2.  The charge is
-# never below the measured cost, so no operand size stretches a budget.
+# never below the measured cost, so no operand size stretches the budget.
 # a*b % n against a 128-bit n (the least of 60 timed loops a size):
 #
 #   bits      150   180   210   240   270   330   540   1020   4080   14610
 #   measured  0.91  1.11  1.20  1.60  1.70  2.25  4.29  12.4   160    1708
 #   charged   1     1.23  1.50  1.81  2.17  3.00  7.23  24.6   386    4942
-
-# Work Brent's rho may spend in one positive_divisors call, in steps, each
-# charged as one product.  Splitting psi_12 takes 450,558 steps at 79 bits.
-# Running the budget out took at most 0.13 s from 100 bits to 4,000.
-_RHO_BUDGET = 1 << 19
-
-# Work the elliptic-curve method may spend in one positive_divisors call
-# once rho has run out, in units.  The Miller-Rabin test that shows a
-# cofactor at or above psi_13 composite is charged to it first, before it
-# runs, at one product per bit and witness: on the 4,400-digit conic it
-# alone is over budget.  Splitting 39072923041 * 89193927323 takes 346,905
-# units and 1000000000000037 * 1000000001000053 485,667.  Running the
-# budget out took at most 0.60 s from 100 bits to 4,000 (0.59 s at 128
-# bits, 0.60 s at 150, 0.36 s at 512, 0.20 s at 1,329); with rho and the
-# Miller-Rabin test before it, semiprimes of 116 to 800 bits were refused
-# in 0.36-0.80 s.
-_ECM_BUDGET = 1 << 22
-
-# Work the Pocklington proofs of one positive_divisors call may spend, in
-# units: their powers, their Miller-Rabin tests and ECM on the cofactors
-# of n - 1.  Rho's steps on those cofactors draw on a fresh _RHO_BUDGET, so
-# the proofs get as much as the factoring before them.  Proving the primes
-# above psi_13 in the benchmark's over-cap targets took at most 0.23 s (104
-# bits).  Running the budget out took at most 0.85 s, on 2*r*s + 1 with r
-# and s 19-digit primes (124 bits), and 0.58 s at 262 bits.  The factoring
-# comes first: with 39072923041 * 89193927323 to split off by ECM as well,
-# that refusal took 1.00 s in all.
-_PROOF_BUDGET = 1 << 22
+#
+# Rho comes first on each composite, with a ninth of what is left (_split):
+# 2^19 units on the first, and splitting psi_12 takes 450,558 steps at 79
+# bits.  ECM gets all that rho leaves; it splits 39072923041 * 89193927323
+# in 346,905 units.  The Miller-Rabin test that shows a cofactor at or
+# above psi_13 composite is charged before it runs, at one product per bit
+# and witness: on the 4,400-digit conic it alone is over budget.  The
+# proofs draw on what the factoring leaves.  The benchmark's over-cap
+# targets that are answered spend at most 4,147,759 units (digits20/5,
+# 0.64-0.67 s).  Running the budget out took 0.33-0.81 s on semiprimes
+# of 122 to 800 bits, on 2*r*s + 1 and on the over-cap targets refused;
+# the worst is 2*r*s + 1 with r and s 19-digit primes.
+_BUDGET = 9 << 19
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
 # prime factor below 2^10, so any cofactor of it below 2^20 is prime.
@@ -82,8 +68,8 @@ _RHO_BATCH = 128
 # one until the budget is spent.  Stage 2 takes the primes up to
 # _ECM_B2 * B1 as m*_ECM_D +- j, with j below _ECM_D / 2 and prime to it.
 # Below 151 bits the 18 curves at B1 = 3000, which find most primes of up
-# to 16 digits, take 30% of _ECM_BUDGET and leave 11 curves at B1 = 11000
-# for larger ones.
+# to 16 digits, take 26% of _BUDGET and, after rho's ninth, leave 11
+# curves at B1 = 11000 for larger ones.
 _ECM_STAGES = ((3000, 18), (11000, None))
 _ECM_B2 = 60
 _ECM_D = 210
@@ -384,50 +370,49 @@ def _strip_small(n: int, factors: dict[int, int]) -> int:
     return rest
 
 
-def _split(m: int, work: list[int]) -> int | None:
+def _split(m: int, budget: int) -> tuple[int | None, int]:
     """A proper factor of the odd composite ``m`` by rho and then ECM, or
-    None, drawing down ``work``, the rho steps and the multiplications
-    left."""
-    d, work[0] = _rho_split(m, work[0])
+    None, and the budget left.  Rho may spend a ninth of the budget, ECM
+    all that rho leaves."""
+    share = budget // 9
+    d, left = _rho_split(m, share)
+    budget += left - share
     if d is None:
-        d, work[1] = _ecm_split(m, work[1])
-    return d
+        d, budget = _ecm_split(m, budget)
+    return d, budget
 
 
-def _pieces(rest: int, work: list[int]) -> Iterator[tuple[int, bool | None]]:
-    """The prime factors of ``rest``, which has none below 2^10, as found.
+def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, int]:
+    """Pop cofactors (m, e) off ``pending``, each with no prime below 2^10
+    and counted e times, pushing both parts of each split, until one is
+    not split: return (m, e, kind, the budget left).
 
-    Yields (p, True) for a proven prime, (p, False) for a probable prime at
-    or above psi_13 and (m, None) for a cofactor not split within ``work``,
-    the rho steps and the multiplications left, which it draws down.  A
-    cofactor at or above psi_13 gets one Miller-Rabin test, charged before
-    it runs; only a composite goes on to rho and then ECM.
+    ``kind`` is "prime" for a proven prime, "a probable prime" at or above
+    psi_13, "composite" for one rho and then ECM did not split, and
+    "untested" for one at or above psi_13 whose Miller-Rabin test, charged
+    before it runs, is over the budget.
     """
-    pending = [rest] if rest > 1 else []
-    while pending:
-        m = pending.pop()
+    while True:
+        m, e = pending.pop()
         if m < _SMALL_LIMIT * _SMALL_LIMIT or (m < _PSI_13 and is_prime(m)):
-            yield m, True
-            continue
+            return m, e, "prime", budget
         if m >= _PSI_13:
             cost = _charge(m, len(_MR_WITNESSES) * m.bit_length())
-            if cost > work[1]:
-                yield m, None
-                continue
-            work[1] -= cost
+            if cost > budget:
+                return m, e, "untested", budget
+            budget -= cost
             if is_prime(m):
-                yield m, False
-                continue
-        d = _split(m, work)
+                return m, e, "a probable prime", budget
+        d, budget = _split(m, budget)
         if d is None:
-            yield m, None
-        else:
-            pending += (d, m // d)
+            return m, e, "composite", budget
+        pending += ((d, e), (m // d, e))
 
 
-def _proven(n: int, work: list[int]) -> bool | None:
-    """Whether the probable prime ``n`` is prime: True when proven, False
-    when shown composite and None when ``work`` ran out first.
+def _proven(n: int, budget: int) -> tuple[bool | None, int]:
+    """Whether the probable prime ``n`` is prime, and the budget left: True
+    when proven, False when shown composite and None when the budget ran
+    out first.
 
     Pocklington's theorem as Brillhart, Lehmer & Selfridge give it (Math.
     Comp. 29, 1975): let F divide n - 1 with F^2 > n, and for each prime q
@@ -437,38 +422,41 @@ def _proven(n: int, work: list[int]) -> bool | None:
     until F^2 > n; a prime of it at or above psi_13 is proven the same way
     first.  A composite n never passes: a^(n-1) != 1 or a proper gcd shows
     it composite.  Each power is charged by its exponent's bits, as
-    _charge(n, bits) units, like the rest of ``work[1]``.
+    _charge(n, bits) units.
     """
     small: dict[int, int] = {}
-    pieces = _pieces(_strip_small(n - 1, small), work)
+    rest = _strip_small(n - 1, small)
+    pending = [(rest, 1)] if rest > 1 else []
     f = math.prod(p**e for p, e in small.items())
     qs = set(small)
     while f * f <= n:
-        piece = next(pieces, None)
-        if piece is None:
-            return None
-        m, prime = piece
+        if not pending:
+            return None, budget
+        m, _, kind, budget = _piece(pending, budget)
         # a cofactor not split stays out of F, and so does a probable prime
         # not proven
-        if prime or (prime is False and _proven(m, work)):
+        if kind == "a probable prime":
+            proven, budget = _proven(m, budget)
+            kind = "prime" if proven else kind
+        if kind == "prime":
             f *= m
             qs.add(m)
     for q in qs:
         e = (n - 1) // q
         cost = _charge(n, e.bit_length() + q.bit_length())
         for a in count(2):
-            if cost > work[1]:
-                return None
-            work[1] -= cost
+            if cost > budget:
+                return None, budget
+            budget -= cost
             y = pow(a, e, n)
             if pow(y, q, n) != 1:
-                return False
+                return False, budget
             g = math.gcd(y - 1, n)
             if g == 1:
                 break
             if g != n:
-                return False
-    return True
+                return False, budget
+    return True, budget
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -477,53 +465,47 @@ def _factorize(n: int) -> dict[int, int]:
     Trial division, then rho and ECM on the composite cofactors.  A
     probable prime at or above psi_13 is set aside until every composite is
     split, then proven by Pocklington's theorem (_proven); one that the
-    proof shows composite goes on to rho and ECM with what is left of their
-    budgets.  Raises DivisorLimitExceeded naming the cofactor that neither
-    rho nor then ECM split within their budgets, such a composite included,
-    or the probable prime not proven within the proof budgets, so no
+    proof shows composite goes on to rho and ECM.  All of it draws on one
+    meter of _BUDGET units.  Past it DivisorLimitExceeded is raised in one
+    shape, "the cofactor m of n is composite (or untested), not split" or
+    "is a probable prime, not proven", "within _BUDGET units", so no
     factorization ever rests on an unproven prime.
     """
     factors: dict[int, int] = {}
     probable: dict[int, int] = {}
-    work = [_RHO_BUDGET, _ECM_BUDGET]
-    proof = [_RHO_BUDGET, _PROOF_BUDGET]
+    budget = _BUDGET
+    rest = _strip_small(n, factors)
     # cofactors to split, each with the power of it that divides n
-    rests = [(_strip_small(n, factors), 1)]
-    not_split = (
-        f"not split within {_RHO_BUDGET} rho steps and {_ECM_BUDGET} ECM "
-        "multiplications of 128 bits"
-    )
+    pending = [(rest, 1)] if rest > 1 else []
+
+    def refused(m: int, kind: str) -> DivisorLimitExceeded:
+        outcome = "not proven" if kind == "a probable prime" else "not split"
+        return DivisorLimitExceeded(
+            f"the cofactor {_int_text(m)} of {_int_text(n)} is {kind}, {outcome} "
+            f"within {_BUDGET} units"
+        )
+
     while True:
-        while rests:
-            rest, e = rests.pop()
-            for m, prime in _pieces(rest, work):
-                if prime is None:
-                    raise DivisorLimitExceeded(
-                        f"the cofactor {_int_text(m)} of {_int_text(n)} was {not_split}"
-                    )
-                counts = factors if prime else probable
-                counts[m] = counts.get(m, 0) + e
+        while pending:
+            m, e, kind, budget = _piece(pending, budget)
+            if kind in ("composite", "untested"):
+                raise refused(m, kind)
+            counts = factors if kind == "prime" else probable
+            counts[m] = counts.get(m, 0) + e
         if not probable:
             return factors
         m = next(iter(probable))
         e = probable.pop(m)
-        proven = _proven(m, proof)
+        proven, budget = _proven(m, budget)
         if proven is None:
-            raise DivisorLimitExceeded(
-                f"the cofactor {_int_text(m)} of {_int_text(n)} is a probable prime not "
-                f"proven within {_RHO_BUDGET} rho steps and {_PROOF_BUDGET} "
-                "multiplications of 128 bits"
-            )
+            raise refused(m, "a probable prime")
         if proven:
             factors[m] = factors.get(m, 0) + e
             continue
-        d = _split(m, work)
+        d, budget = _split(m, budget)
         if d is None:
-            raise DivisorLimitExceeded(
-                f"the cofactor {_int_text(m)} of {_int_text(n)} is composite and was "
-                f"{not_split}"
-            )
-        rests += [(d, e), (m // d, e)]
+            raise refused(m, "composite")
+        pending += ((d, e), (m // d, e))
 
 
 def positive_divisors(n: int) -> list[int]:
@@ -537,9 +519,9 @@ def positive_divisors(n: int) -> list[int]:
     e + 1 sorted runs, one per power of p, which the sort only merges, with
     far fewer comparisons of large ints than one sort at the end.
     ``n == 0`` is rejected (every integer divides zero), and
-    DivisorLimitExceeded is raised for a cofactor rho and ECM do not split
-    within their budgets, for a probable prime not proven within the proof
-    budgets and for more than POINT_BUDGET / 2 divisors.
+    DivisorLimitExceeded is raised for a cofactor not split or a probable
+    prime not proven within the one factoring budget, _BUDGET units for
+    all of it, and for more than POINT_BUDGET / 2 divisors.
     """
     if n == 0:
         raise ValueError("0 has no finite divisor list")

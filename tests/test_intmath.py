@@ -248,9 +248,9 @@ def test_positive_divisors_splits_psi13(monkeypatch):
         assert n != psi13 or psi13 in composite
         return rho_split(n, budget)
 
-    def recording(n, work):
-        result = proven(n, work)
-        if result is False:
+    def recording(n, budget):
+        result = proven(n, budget)
+        if result[0] is False:
             composite.append(n)
         return result
 
@@ -267,17 +267,20 @@ def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
     # counts twice; the proof shows it composite, and each of its pieces is
     # factored once and counted twice
     psi13 = 3317044064679887385961981
-    split, pieces = intmath._split, intmath._pieces
+    split, piece = intmath._split, intmath._piece
     fed = []
 
-    def recording(rest, work):
-        fed.append(rest)
-        return pieces(rest, work)
+    def recording(pending, budget):
+        # the cofactor each call starts from
+        fed.append(pending[-1][0])
+        return piece(pending, budget)
 
     monkeypatch.setattr(
-        intmath, "_split", lambda m, work: psi13 if m == psi13**2 else split(m, work)
+        intmath,
+        "_split",
+        lambda m, budget: (psi13, budget) if m == psi13**2 else split(m, budget),
     )
-    monkeypatch.setattr(intmath, "_pieces", recording)
+    monkeypatch.setattr(intmath, "_piece", recording)
     assert intmath._factorize(psi13**2) == {1287836182261: 2, 2575672364521: 2}
     assert [fed.count(m) for m in (psi13**2, 1287836182261, 2575672364521)] == [1, 1, 1]
 
@@ -288,10 +291,10 @@ def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
     psi13 = 3317044064679887385961981
     split = intmath._split
     monkeypatch.setattr(
-        intmath, "_split", lambda m, work: None if m == psi13 else split(m, work)
+        intmath, "_split", lambda m, budget: (None, budget) if m == psi13 else split(m, budget)
     )
     with pytest.raises(
-        DivisorLimitExceeded, match=f"cofactor {psi13} of {psi13} is composite and was not split"
+        DivisorLimitExceeded, match=f"cofactor {psi13} of {psi13} is composite, not split within"
     ):
         positive_divisors(psi13)
 
@@ -334,9 +337,9 @@ def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
     proven = intmath._proven
     calls = []
 
-    def recording(m, work):
+    def recording(m, budget):
         calls.append(m)
-        return proven(m, work)
+        return proven(m, budget)
 
     monkeypatch.setattr(intmath, "_proven", recording)
     assert positive_divisors(n) == [1, n]
@@ -359,47 +362,13 @@ def test_positive_divisors_splits_ecm_semiprime():
     assert positive_divisors(p * q) == [1, p, q, p * q]
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        # two proven primes near 10^23, past ECM's reach
-        100000000000000000000117 * 200000000000000000000069,
-        # 2*r*s + 1 with r the first prime after 10^39 and s the first
-        # prime after 2*10^39 for which it is a probable prime: its proof
-        # needs r or s, and rho and ECM do not split r*s
-        2
-        * 1000000000000000000000000000000000000003
-        * 2000000000000000000000000000000000003861
-        + 1,
-    ],
-)
-def test_positive_divisors_rho_budget(n):
-    start = time.perf_counter()
-    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {n} "):
-        positive_divisors(n)
-    assert time.perf_counter() - start < 2
-
-
-@pytest.mark.parametrize("bits", [129, 256])
-def test_positive_divisors_refuses_unsplit_composites_above_128_bits(bits):
-    # a product modulo a 129- to 256-bit number is charged 1 to 2.17 units,
-    # about what it costs, so rho and ECM run about as long here as below
-    # 128 bits before a semiprime of two 20- or 39-digit primes is refused
-    n = _next_probable_prime(1 << (bits // 2)) * _next_probable_prime(3 << (bits - bits // 2 - 2))
-    assert n.bit_length() == bits
-    start = time.process_time()
-    with pytest.raises(DivisorLimitExceeded, match=f"cofactor {n} .*ECM multiplications"):
-        positive_divisors(n)
-    assert time.process_time() - start < 3
-
-
 def test_ecm_is_deterministic():
     # the same curves in the same order: the same factor for the same work,
-    # the units _ECM_BUDGET's comment gives
+    # the units _BUDGET's comment gives
     n = 39072923041 * 89193927323
-    factor, left = intmath._ecm_split(n, intmath._ECM_BUDGET)
-    assert (factor, intmath._ECM_BUDGET - left) == (89193927323, 346905)
-    assert intmath._ecm_split(n, intmath._ECM_BUDGET) == (factor, left)
+    factor, left = intmath._ecm_split(n, intmath._BUDGET)
+    assert (factor, intmath._BUDGET - left) == (89193927323, 346905)
+    assert intmath._ecm_split(n, intmath._BUDGET) == (factor, left)
 
 
 def _point_order(x, a24, p):
@@ -452,12 +421,72 @@ def _next_probable_prime(n):
     return n
 
 
-def test_positive_divisors_rho_budget_grows_with_size():
-    # rho's steps are charged by operand size, so a 400-digit semiprime
-    # runs the budget out in a fraction of a second, not minutes
-    n = _next_probable_prime(10**199) * _next_probable_prime(10**200)
-    assert len(str(n)) == 400
+def _balanced_semiprime(bits):
+    """A semiprime of ``bits`` bits whose two primes have about half each."""
+    n = _next_probable_prime(1 << (bits // 2)) * _next_probable_prime(3 << (bits - bits // 2 - 2))
+    assert n.bit_length() == bits
+    return n
+
+
+@pytest.mark.parametrize(
+    "n, outcome, ceiling",
+    [
+        # two proven primes near 10^23, past ECM's reach
+        (100000000000000000000117 * 200000000000000000000069, "composite, not split", 2),
+        # 2*r*s + 1 with r the first prime after 10^39 and s the first
+        # prime after 2*10^39 for which it is a probable prime: its proof
+        # needs r or s, and rho and ECM do not split r*s
+        (
+            2
+            * 1000000000000000000000000000000000000003
+            * 2000000000000000000000000000000000003861
+            + 1,
+            "a probable prime, not proven",
+            2,
+        ),
+        # a product modulo a 129- to 256-bit number is charged 1 to 2.17
+        # units, about what it costs, so the budget runs about as long here
+        # as below 128 bits before a semiprime of two 20- or 39-digit primes
+        # is refused
+        (_balanced_semiprime(129), "composite, not split", 3),
+        (_balanced_semiprime(256), "composite, not split", 3),
+        # each product is charged by operand size, so a 400-digit semiprime
+        # runs the budget out in a fraction of a second, not minutes
+        (_next_probable_prime(10**199) * _next_probable_prime(10**200), "composite, not split", 1),
+    ],
+    ids=["semiprime-1e23", "2rs+1", "semiprime-129-bits", "semiprime-256-bits", "semiprime-400-digits"],
+)
+def test_positive_divisors_refuses_past_the_factoring_budget(n, outcome, ceiling):
     start = time.process_time()
-    with pytest.raises(DivisorLimitExceeded, match="rho steps"):
+    with pytest.raises(
+        DivisorLimitExceeded,
+        match=f"^the cofactor {n} of {n} is {outcome} within {intmath._BUDGET} units$",
+    ):
         positive_divisors(n)
-    assert time.process_time() - start < 1
+    assert time.process_time() - start < ceiling
+
+
+def test_proofs_draw_on_the_factoring_meter(monkeypatch):
+    # trial division strips 30 from 30 * (2^89 - 1), and Miller-Rabin finds
+    # 2^89 - 1 a probable prime; its proof comes last.  With the budget one
+    # unit above what came before the proof, the proof has that one unit
+    # and is refused: it gets no budget of its own
+    p = 2**89 - 1
+    n = 30 * p
+    proven = intmath._proven
+    handed = []
+
+    def recording(m, budget):
+        handed.append(budget)
+        return proven(m, budget)
+
+    monkeypatch.setattr(intmath, "_proven", recording)
+    assert positive_divisors(n) == _from_factors({2: 1, 3: 1, 5: 1, p: 1})
+    budget = intmath._BUDGET - handed[0] + 1
+    monkeypatch.setattr(intmath, "_BUDGET", budget)
+    with pytest.raises(
+        DivisorLimitExceeded,
+        match=f"^the cofactor {p} of {n} is a probable prime, not proven within {budget} units$",
+    ):
+        positive_divisors(n)
+    assert handed[1:] == [1]

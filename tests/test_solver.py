@@ -619,9 +619,12 @@ def test_solve_overcap_targets_split_by_ecm(monkeypatch, coeffs, factors):
     start = time.process_time()
     assert list(solve(conic).points) == expected
     assert time.process_time() - start < 4
-    # without ECM they are refused, as rho alone refused them
-    monkeypatch.setattr(intmath, "_ECM_BUDGET", 0)
-    with pytest.raises(DivisorLimitExceeded, match="rho steps"):
+    # without ECM they are refused: rho alone, with a ninth of the budget,
+    # does not split them
+    monkeypatch.setattr(intmath, "_ecm_split", lambda m, budget: (None, budget))
+    with pytest.raises(
+        DivisorLimitExceeded, match=f"is composite, not split within {intmath._BUDGET} units$"
+    ):
         solve(conic)
 
 
