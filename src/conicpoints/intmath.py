@@ -7,6 +7,7 @@ in any code path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, count, repeat
 from operator import mul
 
@@ -20,8 +21,8 @@ from .errors import DivisorLimitExceeded, _int_text
 # building any, and a line pair's box under --check or oracle (two points a
 # row) is refused with exit code 5 past it.  At the edges, `solve --format
 # json` on the target 3*5*...*61 took 0.7-0.9 s of CPU time, 16 MB of output
-# and 105 MB peak, and `solve --check --bound 65535 1 0 -1 0 0 0` 1.2-1.5 s
-# and 46 MB.
+# and 105 MB peak, and `solve --check --bound 65535 1 0 -1 0 0 0` about
+# 0.2 s and 46 MB.
 POINT_BUDGET = 1 << 18
 
 # The factoring budget: the work one positive_divisors call may spend on
@@ -30,25 +31,30 @@ POINT_BUDGET = 1 << 18
 # below 2^128, the unit of its messages.  A product modulo an n-bit number
 # of w = ceil(n/30) 30-bit words is charged (23 + w^2) / 48 units, and at
 # least one (_charge): CPython multiplies and reduces word by word, so its
-# time is a fixed overhead plus a part that grows as w^2.  The charge is
-# never below the measured cost, so no operand size stretches the budget.
+# time is a fixed overhead plus a part that grows as w^2.  Every product is
+# charged, rho's two a step included, and the charge is never below the
+# measured cost, so no operand size stretches the budget.
 # a*b % n against a 128-bit n (the least of 60 timed loops a size):
 #
 #   bits      150   180   210   240   270   330   540   1020   4080   14610
 #   measured  0.91  1.11  1.20  1.60  1.70  2.25  4.29  12.4   160    1708
 #   charged   1     1.23  1.50  1.81  2.17  3.00  7.23  24.6   386    4942
 #
-# Rho comes first on each composite, with a ninth of what is left (_split):
-# 2^19 units on the first, and splitting psi_12 takes 450,558 steps at 79
-# bits.  ECM gets all that rho leaves; it splits 39072923041 * 89193927323
-# in 346,905 units.  The Miller-Rabin test that shows a cofactor at or
-# above psi_13 composite is charged before it runs, at one product per bit
-# and witness: on the 4,400-digit conic it alone is over budget.  The
-# proofs draw on what the factoring leaves.  The benchmark's over-cap
-# targets that are answered spend at most 4,147,759 units (digits20/5,
-# 0.64-0.67 s).  Running the budget out took 0.33-0.81 s on semiprimes
-# of 122 to 800 bits, on 2*r*s + 1 and on the over-cap targets refused;
-# the worst is 2*r*s + 1 with r and s 19-digit primes.
+# A composite cofactor that is a perfect power r^k is read as r, k times,
+# before any search (_power_root).  Rho comes next, with a ninth of what
+# is left (_split): 2^19 units on the first, of which its doubling rounds
+# use 393,213 (a round of r steps is not started unless 4r products fit).
+# That splits factors up to about 10^10 but not psi_12, which would take
+# rho 638,973 units at 79 bits.  ECM gets all that rho leaves; it splits
+# 39072923041 * 89193927323 in 346,905 units, and psi_12 in 440,888 with
+# rho's share.  The Miller-Rabin test that shows a cofactor at or above
+# psi_13 composite is charged before it runs, at one product per bit and
+# witness: on the 4,400-digit conic it alone is over budget.  The proofs
+# draw on what the factoring leaves.  The benchmark's over-cap targets
+# that are answered spend at most 4,051,766 units (digits20/15, 0.6-0.8
+# s).  Running the budget out took 0.39-1.08 s on semiprimes of 122 to 800
+# bits, on 2*r*s + 1 and on the over-cap targets refused; the worst are
+# the 122-bit semiprime, the two primes near 10^23 and digits20/11.
 _BUDGET = 9 << 19
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
@@ -60,6 +66,15 @@ _SMALL_LIMIT = 1 << 10
 # strong pseudoprime to all thirteen bases (Sorenson & Webster 2015).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
+
+# What _power_root charges for each k-th root test of a cofactor m, in
+# units: a fixed part for the interpreter's work and _ROOT_PRODUCTS
+# products modulo m.  The tests of every prime k <= bits/10 together were
+# measured at 7-90 units below 151 bits, 440-450 at 512 and 6,100 at
+# 2,600, about the largest cofactor whose Miller-Rabin test fits the
+# budget; they are charged 26-156, 585 and 18,755.
+_ROOT_UNITS = 24
+_ROOT_PRODUCTS = 2
 
 # Differences multiplied together between two gcds in Brent's loop.
 _RHO_BATCH = 128
@@ -173,19 +188,22 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     deterministic: start at 2 with f(x) = x^2 + c, taking c = 1, 2, ... in
     turn whenever the cycle closes modulo n itself (g == n).  A round that
     could take the work spent past ``budget`` is not started; the factor
-    is then None.  Each step is charged _charge(n, 1) units of ``budget``.
+    is then None.  Each product modulo n is charged as _charge(n, products)
+    gives: a round of r steps does r products while y runs ahead, two a step
+    (y*y + c and q*(x - y)) while q gathers x - y, and one a step of a
+    replay, at most 4r in all.
     """
     c = 0
     while True:
         c += 1
         y, q, g, r = 2, 1, 1, 1
         while g == 1:
-            if _charge(n, 2 * r) > budget:
+            if _charge(n, 4 * r) > budget:
                 return None, budget
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            k = 0
+            k = replayed = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(_RHO_BATCH, r - k)):
@@ -193,14 +211,15 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += _RHO_BATCH
-            budget -= _charge(n, r + min(k, r))
+            if g == n:
+                # The batch overshot; replay it one gcd at a time.
+                g = 1
+                while g == 1:
+                    ys = (ys * ys + c) % n
+                    g = math.gcd(x - ys, n)
+                    replayed += 1
+            budget -= _charge(n, r + 2 * min(k, r) + replayed)
             r *= 2
-        if g == n:
-            # The batch overshot; replay it one gcd at a time.
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
         if g != n:
             return g, budget
 
@@ -370,6 +389,44 @@ def _strip_small(n: int, factors: dict[int, int]) -> int:
     return rest
 
 
+def _kth_root(n: int, k: int) -> int:
+    """The k-th root of n >= 1, rounded down.
+
+    Newton's method from above, started from the root of n's top bits (got
+    the same way) raised past the root: each step about doubles the correct
+    bits, and the first that does not go down ends it."""
+    if k == 2:
+        return math.isqrt(n)
+    shift = n.bit_length() // (2 * k)
+    if shift:
+        x = (_kth_root(n >> k * shift, k) + 1) << shift
+    else:
+        x = 1 << ceil_div(n.bit_length(), k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _power_root(m: int, budget: int) -> tuple[int | None, int, int]:
+    """(r, k, the budget left) with r^k == m for the least prime k that has
+    one, (m, 1, ...) when m is no perfect power, or (None, 1, ...) when the
+    test is over ``budget``.  ``m`` has no prime factor below 2^10, so r > 2^10
+    and only the primes k <= bits/10 need a test; the test of each k is
+    charged _ROOT_UNITS units and _ROOT_PRODUCTS products modulo m."""
+    ks = _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, m.bit_length() // 10)]
+    cost = len(ks) * (_ROOT_UNITS + _charge(m, _ROOT_PRODUCTS))
+    if cost > budget:
+        return None, 1, budget
+    budget -= cost
+    for k in ks:
+        r = _kth_root(m, k)
+        if r**k == m:
+            return r, k, budget
+    return m, 1, budget
+
+
 def _split(m: int, budget: int) -> tuple[int | None, int]:
     """A proper factor of the odd composite ``m`` by rho and then ECM, or
     None, and the budget left.  Rho may spend a ninth of the budget, ECM
@@ -384,13 +441,14 @@ def _split(m: int, budget: int) -> tuple[int | None, int]:
 
 def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, int]:
     """Pop cofactors (m, e) off ``pending``, each with no prime below 2^10
-    and counted e times, pushing both parts of each split, until one is
-    not split: return (m, e, kind, the budget left).
+    and counted e times, pushing the root r of each perfect power r^k
+    (counted e*k times) and both parts of each split, until one is not
+    split: return (m, e, kind, the budget left).
 
     ``kind`` is "prime" for a proven prime, "a probable prime" at or above
-    psi_13, "composite" for one rho and then ECM did not split, and
-    "untested" for one at or above psi_13 whose Miller-Rabin test, charged
-    before it runs, is over the budget.
+    psi_13, "composite" for one neither a perfect power nor split by rho
+    and then ECM, and "untested" for one at or above psi_13 whose
+    Miller-Rabin test, charged before it runs, is over the budget.
     """
     while True:
         m, e = pending.pop()
@@ -403,6 +461,12 @@ def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, 
             budget -= cost
             if is_prime(m):
                 return m, e, "a probable prime", budget
+        r, k, budget = _power_root(m, budget)
+        if r is None:
+            return m, e, "composite", budget
+        if k > 1:
+            pending.append((r, e * k))
+            continue
         d, budget = _split(m, budget)
         if d is None:
             return m, e, "composite", budget
@@ -462,14 +526,15 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1.
 
-    Trial division, then rho and ECM on the composite cofactors.  A
-    probable prime at or above psi_13 is set aside until every composite is
-    split, then proven by Pocklington's theorem (_proven); one that the
-    proof shows composite goes on to rho and ECM.  All of it draws on one
-    meter of _BUDGET units.  Past it DivisorLimitExceeded is raised in one
-    shape, "the cofactor m of n is composite (or untested), not split" or
-    "is a probable prime, not proven", "within _BUDGET units", so no
-    factorization ever rests on an unproven prime.
+    Trial division, then a perfect-power test, rho and ECM on the composite
+    cofactors.  A probable prime at or above psi_13 is set aside until
+    every composite is split, then proven by Pocklington's theorem
+    (_proven); one that the proof shows composite goes on to rho and ECM.
+    All of it draws on one meter of _BUDGET units.  Past it
+    DivisorLimitExceeded is raised in one shape, "the cofactor m of n is
+    composite (or untested), not split" or "is a probable prime, not
+    proven", "within _BUDGET units", so no factorization ever rests on an
+    unproven prime.
     """
     factors: dict[int, int] = {}
     probable: dict[int, int] = {}
@@ -511,11 +576,11 @@ def _factorize(n: int) -> dict[int, int]:
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
-    Factors |n| first (small primes, then Miller-Rabin, Brent's rho and ECM
-    on what is left, and a Pocklington proof for each probable prime at or
-    above psi_13) and builds the divisors from the prime powers, so the
-    cost follows the size of the prime factors and the divisor count, not
-    sqrt(|n|).  The list is sorted after each prime p^e: it then holds
+    Factors |n| first (small primes, then Miller-Rabin, a perfect-power
+    test, Brent's rho and ECM on what is left, and a Pocklington proof for
+    each probable prime at or above psi_13) and builds the divisors from
+    the prime powers, so the cost follows the size of the prime factors and
+    the divisor count, not sqrt(|n|).  The list is sorted after each prime p^e: it then holds
     e + 1 sorted runs, one per power of p, which the sort only merges, with
     far fewer comparisons of large ints than one sort at the end.
     ``n == 0`` is rejected (every integer divides zero), and

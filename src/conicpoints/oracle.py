@@ -2,7 +2,11 @@
 
 The brute-force search deliberately avoids the divisor route.  It scans y
 and asks when the conic, read as a quadratic in x, has an integer root; the
-only shared ingredient with the solver is exact integer arithmetic.
+only shared ingredient with the solver is exact integer arithmetic.  On a
+line pair (I = 0) the discriminant is the square of a linear polynomial in
+every row, so the scan reads both roots off that exact identity instead of
+taking a square root; it still visits every row and still takes every
+point from the quadratic formula.
 """
 
 from __future__ import annotations
@@ -111,27 +115,60 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
         disc(y) = (beta*y + delta)^2 - 4*alpha*(gamma*y^2 + epsilon*y + j)
                 = p*y^2 + q*y + r
 
-    to be a perfect square and the quadratic formula numerator to split
-    evenly.  The rows are visited one residue class mod W at a time, where
-    W is a wheel of the factors 16, 9, 5, 7, 11, 13 (each joins only while
-    the box holds at least 8 periods of W); classes in which disc is never
-    a square mod some factor are skipped.  Within a class disc is updated by
-    finite differences, and math.isqrt runs only on values that are squares
-    mod 64.  Both filters use only that a square is a square modulo every m,
-    so nothing is shared with the solver.
+    to be a perfect square and the quadratic formula numerator
+    -(beta*y + delta) +- sqrt(disc(y)) to split evenly by 2*alpha.
+
+    For an admissible conic q^2 - 4*p*r = -4*I, so when p = t^2 and
+    q^2 = 4*p*r (I = 0, a line pair) disc(y) = (t*y + u)^2 with u =
+    q/(2t) an exact integer.  Every row is still visited, but both
+    numerators are then linear in y and step by a constant from row to
+    row: each row costs two divisibility tests by 2*alpha, one on the
+    crossing row t*y + u = 0 where the roots coincide, and no square root.
+
+    Otherwise the rows are visited one residue class mod W at a time,
+    where W is a wheel of the factors 16, 9, 5, 7, 11, 13 (each joins only
+    while the box holds at least 8 periods of W); classes in which disc is
+    never a square mod some factor are skipped.  Within a class disc is
+    updated by finite differences, and math.isqrt runs only on values that
+    are squares mod 64.
+
+    Both paths read the roots off the quadratic formula row by row: the
+    filters use only that a square is a square modulo every m, and the
+    line-pair path only the identity above, so no factor form, divisor or
+    gcd is shared with the solver.
     """
     a, b, d = conic.alpha, conic.beta, conic.delta
     p = b * b - 4 * a * conic.gamma
     q = 2 * b * d - 4 * a * conic.epsilon
     r = d * d - 4 * a * conic.j
     lo, hi = -bound.by, bound.by
+    two_a, bx = 2 * a, bound.bx
+    new = tuple.__new__
+    found = []
+    t = math.isqrt(p) if p > 0 else 0
+    if t and t * t == p and q * q == 4 * p * r:
+        u = q // (2 * t)
+        step_plus, step_minus = t - b, -(t + b)
+        # the numerators -(b*y + d) + (t*y + u) and -(b*y + d) - (t*y + u)
+        plus, minus = step_plus * lo + u - d, step_minus * lo - u - d
+        for y in range(lo, hi + 1):
+            if not plus % two_a:
+                x = plus // two_a
+                if -bx <= x <= bx:
+                    found.append(new(LatticePoint, (x, y)))
+            # equal only on the crossing row, where the roots coincide
+            if not minus % two_a and minus != plus:
+                x = minus // two_a
+                if -bx <= x <= bx:
+                    found.append(new(LatticePoint, (x, y)))
+            plus += step_plus
+            minus += step_minus
+        found.sort()
+        return found
     period, classes = _square_classes(p, q, r, _wheel(hi - lo + 1))
     sq64 = _SQUARES[64]
     isqrt = math.isqrt
     step2 = 2 * p * period * period
-    two_a, bx = 2 * a, bound.bx
-    new = tuple.__new__
-    found = []
     for c in classes:
         y0 = lo + (c - lo) % period
         disc = (p * y0 + q) * y0 + r

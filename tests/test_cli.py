@@ -222,6 +222,42 @@ def test_solve_check_lines_with_bound(capsys):
     assert err == ""
 
 
+def _seeded_line_pairs(count):
+    """``count`` line pairs: the degenerate draws of random_valid_conic and
+    products of two random lines, in turn."""
+    rng = random.Random("cli line pairs")
+    pairs = []
+    while len(pairs) < count:
+        if len(pairs) % 2:
+            a1, b1, a2, b2 = (rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(4))
+            c1, c2 = rng.randint(-20, 20), rng.randint(-20, 20)
+            coeffs = (a1 * a2, a1 * b2 + a2 * b1, b1 * b2, a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2)
+            if a1 * b2 == a2 * b1:
+                continue
+        else:
+            coeffs = tuple(random_valid_conic(rng.randrange(2**32), max_linear=20))
+        conic, inv = validate(*coeffs)
+        if inv.big_i == 0:
+            pairs.append((conic, rng.randint(1, 12)))
+    return pairs
+
+
+def test_oracle_and_check_on_line_pairs_match_naive_enumeration(capsys):
+    # every (x, y) of the box evaluated: the oracle prints exactly the
+    # points on the conic, and --check agrees with the solver's lines
+    for conic, bound in _seeded_line_pairs(200):
+        args = [str(c) for c in conic]
+        naive = "".join(
+            f"{x} {y}\n"
+            for x in range(-bound, bound + 1)
+            for y in range(-bound, bound + 1)
+            if conic.evaluate(x, y) == 0
+        )
+        assert run_cli(capsys, "oracle", "--bound", str(bound), *args) == (0, naive, "")
+        _, solved, _ = run_cli(capsys, "solve", *args)
+        assert run_cli(capsys, "solve", "--check", "--bound", str(bound), *args) == (0, solved, "")
+
+
 def _tamper_first_line(monkeypatch, change):
     """Make the CLI's solve apply ``change`` to the first line of a pair."""
     import conicpoints.cli as cli_mod

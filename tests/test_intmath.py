@@ -223,7 +223,7 @@ def test_positive_divisors_hard_composites():
 
 def test_positive_divisors_splits_psi12():
     # psi_12 passes Miller-Rabin to every base 2..37, base 41 shows it
-    # composite, and rho splits it.
+    # composite, and ECM splits it once rho's ninth of the budget runs out.
     psi12 = 318665857834031151167461
     assert not is_prime(psi12)
     assert positive_divisors(psi12) == [
@@ -263,11 +263,11 @@ def test_positive_divisors_splits_psi13(monkeypatch):
 
 
 def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
-    # with psi_13^2 split as psi_13 * psi_13, the probable prime psi_13
-    # counts twice; the proof shows it composite, and each of its pieces is
+    # the root test reads psi_13^2 as psi_13 counted twice, a probable
+    # prime; the proof shows it composite, and each of its pieces is
     # factored once and counted twice
     psi13 = 3317044064679887385961981
-    split, piece = intmath._split, intmath._piece
+    piece = intmath._piece
     fed = []
 
     def recording(pending, budget):
@@ -275,11 +275,6 @@ def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
         fed.append(pending[-1][0])
         return piece(pending, budget)
 
-    monkeypatch.setattr(
-        intmath,
-        "_split",
-        lambda m, budget: (psi13, budget) if m == psi13**2 else split(m, budget),
-    )
     monkeypatch.setattr(intmath, "_piece", recording)
     assert intmath._factorize(psi13**2) == {1287836182261: 2, 2575672364521: 2}
     assert [fed.count(m) for m in (psi13**2, 1287836182261, 2575672364521)] == [1, 1, 1]
@@ -354,6 +349,75 @@ def test_positive_divisors_splits_rho_limit_semiprime():
     start = time.process_time()
     assert positive_divisors(p * q) == [1, p, q, p * q]
     assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("k, cofactor", [(2, 1), (3, 1), (20, 1), (3, 10007)])
+def test_positive_divisors_reads_prime_powers(k, cofactor):
+    # rho and ECM would look for p inside p^k and run the budget out; the
+    # root test reads p^k as p, k times (once rho has split off 10007)
+    p = 2**61 - 1
+    start = time.process_time()
+    divisors = positive_divisors(p**k * cofactor)
+    assert time.process_time() - start < 0.25
+    assert divisors == sorted({p**i * c for i in range(k + 1) for c in (1, cofactor)})
+
+
+def test_power_root_is_charged_on_the_meter(monkeypatch):
+    # (2^61 - 1)^2 is 122 bits, at or above psi_13: its Miller-Rabin test
+    # is charged 13 * 122 units, and then the root tests of k = 2, 3, 5,
+    # 7 and 11, 26 units each, before the square root is found
+    p = 2**61 - 1
+    tests = intmath._charge(p * p, 13 * 122)
+    roots = 5 * (intmath._ROOT_UNITS + intmath._charge(p * p, intmath._ROOT_PRODUCTS))
+    monkeypatch.setattr(intmath, "_BUDGET", tests + roots)
+    assert positive_divisors(p * p) == [1, p, p * p]
+    monkeypatch.setattr(intmath, "_BUDGET", tests + roots - 1)
+    with pytest.raises(DivisorLimitExceeded, match=f"^the cofactor {p * p} of {p * p} is composite"):
+        positive_divisors(p * p)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 13, 101])
+def test_kth_root_rounds_down(k):
+    rng = random.Random(k)
+    values = list(range(1, 3000))
+    for _ in range(300):
+        r = rng.getrandbits(rng.randint(1, 400)) + 1
+        values += [r**k - 1, r**k, r**k + 1, rng.getrandbits(rng.randint(1, 3000)) + 1]
+    for n in filter(None, values):
+        r = intmath._kth_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+
+class _CountingModulus(int):
+    """An int that counts the reductions modulo it: ``x % n`` calls n's
+    __rmod__ first, since n's type is a subclass of x's."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        _CountingModulus.reductions += 1
+        return other % int(self)
+
+
+@pytest.mark.parametrize(
+    "n, budget, factor",
+    [
+        # split by rho in the round of 2^17 steps
+        (318665857834031151167461, 1 << 20, 399165290221),
+        # rho's share on the first cofactor runs out
+        (39072923041 * 89193927323, 1 << 19, None),
+        # a batch overshoots and is replayed one gcd at a time
+        (393249138943, 1 << 20, 669391),
+    ],
+)
+def test_rho_charges_every_product(monkeypatch, n, budget, factor):
+    # below 150 bits a product is one unit, so rho's charge is the number of
+    # reductions modulo n it does: both products of each step, y*y + c and
+    # q*(x - y), and the replay's
+    monkeypatch.setattr(_CountingModulus, "reductions", 0)
+    found, left = intmath._rho_split(_CountingModulus(n), budget)
+    assert found == factor
+    assert 0 <= left and budget - left == _CountingModulus.reductions
 
 
 def test_positive_divisors_splits_ecm_semiprime():

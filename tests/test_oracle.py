@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,15 +183,86 @@ def test_brute_force_matches_naive_on_derived_boxes():
     assert checked > 250 and negative_alpha > 50
 
 
+def _lines_through(line1, line2):
+    """The line pair (a1*x + b1*y + c1)(a2*x + b2*y + c2) = 0, expanded."""
+    (a1, b1, c1), (a2, b2, c2) = line1, line2
+    conic, inv = validate(
+        a1 * a2, a1 * b2 + a2 * b1, b1 * b2, a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2
+    )
+    assert inv.big_i == 0
+    return conic
+
+
+def _line_at(a, b, x0, y0):
+    """The line a*x + b*y + c = 0 through (x0, y0)."""
+    return a, b, -(a * x0 + b * y0)
+
+
 def test_brute_force_matches_naive_on_line_pairs():
     conics = [random_valid_conic(seed) for seed in range(300)]
     pairs = [c for c in conics if invariants_of(c).big_i == 0]
     pairs += [validate(*c)[0] for c in ((1, 0, -1, 0, 0, 0), (3, 3, -6, -4, 1, 1), (-2, 3, -1, 1, -2, 3))]
-    assert len(pairs) > 30 and any(c.alpha < 0 for c in pairs)
+    # two lines through (x0, y0): the crossing row y0, where the two roots
+    # coincide, is inside some boxes below and outside others
+    rng = random.Random("crossing rows")
+    crossings = []
+    while len(crossings) < 40:
+        x0, y0 = rng.randint(-50, 50), rng.choice((0, 7, -30, 31, -400))
+        a1, a2 = rng.randint(1, 6), rng.choice((1, -1)) * rng.randint(1, 6)
+        b1, b2 = (rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(2))
+        if a1 * b2 != a2 * b1:
+            conic = _lines_through(_line_at(a1, b1, x0, y0), _line_at(a2, b2, x0, y0))
+            crossings.append((conic, LatticePoint(x0, y0)))
+    pairs += [conic for conic, _ in crossings]
+    assert len(pairs) > 70 and any(c.alpha < 0 for c in pairs)
+    bounds = (SearchBound(40, 40), SearchBound(3, 700), SearchBound(500, 0), SearchBound(60, 30), SearchBound(0, 0))
     for conic in pairs:
-        for bound in (SearchBound(40, 40), SearchBound(3, 700), SearchBound(500, 0)):
+        for bound in bounds:
             _assert_same(conic, bound)
+    for conic, crossing in crossings:
+        for bound in bounds:
+            inside = abs(crossing.x) <= bound.bx and abs(crossing.y) <= bound.by
+            assert (crossing in brute_force(conic, bound)) == inside
     assert len(_assert_same(validate(1, 0, -1, 0, 0, 0)[0], SearchBound(5, 5))) == 21
+    # x + y = 200 leaves the box |x| <= 50 in every row |y| <= 50, x = 2y
+    # stays in it; a wider box cuts both lines
+    conic = _lines_through((1, 1, -200), (1, -2, 0))
+    assert _assert_same(conic, SearchBound(50, 50)) == [(2 * y, y) for y in range(-25, 26)]
+    assert len(_assert_same(conic, SearchBound(250, 50))) == 101 + 101
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2**20, 2**40) | st.integers(-(2**40), -(2**20)), min_size=4, max_size=4),
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(2**70, 2**90),
+)
+def test_brute_force_line_pairs_with_large_coefficients(coeffs, x0, y0, shift):
+    # alpha = a1*a2 is past 2^40 and delta past 2^64; the first line goes
+    # through a planted point, the second has a constant past 2^70
+    a1, b1, a2, b2 = coeffs
+    if a1 * b2 == a2 * b1:
+        b2 += 1
+    conic = _lines_through(_line_at(a1, b1, x0, y0), (a2, b2, shift))
+    assert abs(conic.alpha) >= 2**40 and abs(conic.delta) > 2**64
+    points = _assert_same(conic, SearchBound(10**30, 60))
+    assert LatticePoint(x0, y0) in points
+
+
+def test_brute_force_reads_line_pairs_without_square_classes(monkeypatch):
+    # the line-pair scan needs no wheel and no square root; the finite scan
+    # still uses both
+    import conicpoints.oracle as oracle
+
+    def refused(*args):
+        raise AssertionError("square classes on a line pair")
+
+    monkeypatch.setattr(oracle, "_square_classes", refused)
+    conic, _ = validate(1, 0, -1, 0, 0, 0)
+    assert len(brute_force(conic, SearchBound(3, 3))) == 13
+    with pytest.raises(AssertionError, match="square classes"):
+        brute_force(validate(*GOLDEN)[0], SearchBound(10, 10))
 
 
 def test_brute_force_matches_naive_with_by_zero():
