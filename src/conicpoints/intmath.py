@@ -42,19 +42,21 @@ POINT_BUDGET = 1 << 18
 #
 # A composite cofactor that is a perfect power r^k is read as r, k times,
 # before any search (_power_root).  Rho comes next, with a ninth of what
-# is left (_split): 2^19 units on the first, of which its doubling rounds
+# is left (_piece): 2^19 units on the first, of which its doubling rounds
 # use 393,213 (a round of r steps is not started unless 4r products fit).
 # That splits factors up to about 10^10 but not psi_12, which would take
 # rho 638,973 units at 79 bits.  ECM gets all that rho leaves; it splits
 # 39072923041 * 89193927323 in 346,905 units, and psi_12 in 440,888 with
 # rho's share.  The Miller-Rabin test that shows a cofactor at or above
 # psi_13 composite is charged before it runs, at one product per bit and
-# witness: on the 4,400-digit conic it alone is over budget.  The proofs
-# draw on what the factoring leaves.  The benchmark's over-cap targets
-# that are answered spend at most 4,051,766 units (digits20/15, 0.6-0.8
-# s).  Running the budget out took 0.39-1.08 s on semiprimes of 122 to 800
-# bits, on 2*r*s + 1 and on the over-cap targets refused; the worst are
-# the 122-bit semiprime, the two primes near 10^23 and digits20/11.
+# witness: on the 4,400-digit conic it alone is over budget.  Each probable
+# prime is proven where the factoring reaches it, on the same meter, and
+# one the proof shows composite, at the top or inside another proof, is
+# split like any other.  The benchmark's over-cap targets that are answered
+# spend at most 4,051,766 units (digits20/15, 0.6-0.8 s).  Running the
+# budget out took 0.39-1.08 s on semiprimes of 122 to 800 bits, on
+# 2*r*s + 1 and on the over-cap targets refused; the worst are the 122-bit
+# semiprime, the two primes near 10^23 and digits20/11.
 _BUDGET = 9 << 19
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
@@ -427,28 +429,20 @@ def _power_root(m: int, budget: int) -> tuple[int | None, int, int]:
     return m, 1, budget
 
 
-def _split(m: int, budget: int) -> tuple[int | None, int]:
-    """A proper factor of the odd composite ``m`` by rho and then ECM, or
-    None, and the budget left.  Rho may spend a ninth of the budget, ECM
-    all that rho leaves."""
-    share = budget // 9
-    d, left = _rho_split(m, share)
-    budget += left - share
-    if d is None:
-        d, budget = _ecm_split(m, budget)
-    return d, budget
-
-
 def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, int]:
     """Pop cofactors (m, e) off ``pending``, each with no prime below 2^10
     and counted e times, pushing the root r of each perfect power r^k
     (counted e*k times) and both parts of each split, until one is not
     split: return (m, e, kind, the budget left).
 
-    ``kind`` is "prime" for a proven prime, "a probable prime" at or above
-    psi_13, "composite" for one neither a perfect power nor split by rho
-    and then ECM, and "untested" for one at or above psi_13 whose
-    Miller-Rabin test, charged before it runs, is over the budget.
+    A probable prime at or above psi_13 is proven where it is found
+    (_proven); one that the proof shows composite goes on to the root test,
+    rho and ECM like any other composite.  Rho may spend a ninth of the
+    budget left, ECM all that rho leaves.  ``kind`` is "prime" for a proven
+    prime, "a probable prime" for one at or above psi_13 not proven within
+    the budget, "composite" for one neither a perfect power nor split, and
+    "untested" for one at or above psi_13 whose Miller-Rabin test, charged
+    before it runs, is over the budget.
     """
     while True:
         m, e = pending.pop()
@@ -460,14 +454,22 @@ def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, 
                 return m, e, "untested", budget
             budget -= cost
             if is_prime(m):
-                return m, e, "a probable prime", budget
+                proven, budget = _proven(m, budget)
+                if proven is None:
+                    return m, e, "a probable prime", budget
+                if proven:
+                    return m, e, "prime", budget
         r, k, budget = _power_root(m, budget)
         if r is None:
             return m, e, "composite", budget
         if k > 1:
             pending.append((r, e * k))
             continue
-        d, budget = _split(m, budget)
+        share = budget // 9
+        d, left = _rho_split(m, share)
+        budget += left - share
+        if d is None:
+            d, budget = _ecm_split(m, budget)
         if d is None:
             return m, e, "composite", budget
         pending += ((d, e), (m // d, e))
@@ -482,11 +484,11 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
     Comp. 29, 1975): let F divide n - 1 with F^2 > n, and for each prime q
     of F let some a have a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1
     modulo n.  Then every prime factor of n is 1 modulo F, so n is prime.
-    F is the part of n - 1 that trial division, rho and ECM factor, taken
-    until F^2 > n; a prime of it at or above psi_13 is proven the same way
-    first.  A composite n never passes: a^(n-1) != 1 or a proper gcd shows
-    it composite.  Each power is charged by its exponent's bits, as
-    _charge(n, bits) units.
+    F is the part of n - 1 that _piece factors, taken until F^2 > n; a
+    probable prime of it at or above psi_13 is proven the same way where
+    _piece finds it, and split if shown composite.  A composite n never
+    passes: a^(n-1) != 1 or a proper gcd shows it composite.  Each power is
+    charged by its exponent's bits, as _charge(n, bits) units.
     """
     small: dict[int, int] = {}
     rest = _strip_small(n - 1, small)
@@ -497,11 +499,7 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
         if not pending:
             return None, budget
         m, _, kind, budget = _piece(pending, budget)
-        # a cofactor not split stays out of F, and so does a probable prime
-        # not proven
-        if kind == "a probable prime":
-            proven, budget = _proven(m, budget)
-            kind = "prime" if proven else kind
+        # a cofactor not split or not proven stays out of F
         if kind == "prime":
             f *= m
             qs.add(m)
@@ -526,60 +524,38 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1.
 
-    Trial division, then a perfect-power test, rho and ECM on the composite
-    cofactors.  A probable prime at or above psi_13 is set aside until
-    every composite is split, then proven by Pocklington's theorem
-    (_proven); one that the proof shows composite goes on to rho and ECM.
-    All of it draws on one meter of _BUDGET units.  Past it
-    DivisorLimitExceeded is raised in one shape, "the cofactor m of n is
-    composite (or untested), not split" or "is a probable prime, not
-    proven", "within _BUDGET units", so no factorization ever rests on an
-    unproven prime.
+    Trial division, then _piece on what is left: a perfect-power test, rho
+    and ECM on the composite cofactors, and a Pocklington proof (_proven)
+    of each probable prime at or above psi_13 where it is found.  All of it
+    draws on one meter of _BUDGET units.  Past it DivisorLimitExceeded is
+    raised in one shape, "the cofactor m of n is composite (or untested),
+    not split" or "is a probable prime, not proven", "within _BUDGET
+    units", so no factorization ever rests on an unproven prime.
     """
     factors: dict[int, int] = {}
-    probable: dict[int, int] = {}
     budget = _BUDGET
     rest = _strip_small(n, factors)
     # cofactors to split, each with the power of it that divides n
     pending = [(rest, 1)] if rest > 1 else []
-
-    def refused(m: int, kind: str) -> DivisorLimitExceeded:
-        outcome = "not proven" if kind == "a probable prime" else "not split"
-        return DivisorLimitExceeded(
-            f"the cofactor {_int_text(m)} of {_int_text(n)} is {kind}, {outcome} "
-            f"within {_BUDGET} units"
-        )
-
-    while True:
-        while pending:
-            m, e, kind, budget = _piece(pending, budget)
-            if kind in ("composite", "untested"):
-                raise refused(m, kind)
-            counts = factors if kind == "prime" else probable
-            counts[m] = counts.get(m, 0) + e
-        if not probable:
-            return factors
-        m = next(iter(probable))
-        e = probable.pop(m)
-        proven, budget = _proven(m, budget)
-        if proven is None:
-            raise refused(m, "a probable prime")
-        if proven:
-            factors[m] = factors.get(m, 0) + e
-            continue
-        d, budget = _split(m, budget)
-        if d is None:
-            raise refused(m, "composite")
-        pending += ((d, e), (m // d, e))
+    while pending:
+        m, e, kind, budget = _piece(pending, budget)
+        if kind != "prime":
+            outcome = "not proven" if kind == "a probable prime" else "not split"
+            raise DivisorLimitExceeded(
+                f"the cofactor {_int_text(m)} of {_int_text(n)} is {kind}, {outcome} "
+                f"within {_BUDGET} units"
+            )
+        factors[m] = factors.get(m, 0) + e
+    return factors
 
 
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
     Factors |n| first (small primes, then Miller-Rabin, a perfect-power
-    test, Brent's rho and ECM on what is left, and a Pocklington proof for
-    each probable prime at or above psi_13) and builds the divisors from
-    the prime powers, so the cost follows the size of the prime factors and
+    test, Brent's rho and ECM on what is left, and a Pocklington proof of
+    each probable prime at or above psi_13 where it is found) and builds
+    the divisors from the prime powers, so the cost follows the size of the prime factors and
     the divisor count, not sqrt(|n|).  The list is sorted after each prime p^e: it then holds
     e + 1 sorted runs, one per power of p, which the sort only merges, with
     far fewer comparisons of large ints than one sort at the end.

@@ -429,6 +429,13 @@ def test_sumform_prime(capsys):
     assert out == "-7 -6\n-7 6\n7 -6\n7 6\n"
 
 
+def test_sumform_prime_whose_proof_splits_psi13(capsys):
+    # 48*psi_13 + 1 is prime; its proof needs psi_13's two primes in F
+    code, out, _ = run_cli(capsys, "sumform", "1", "1", "-159218115104634594526175089")
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
 def test_sumform_obstruction(capsys):
     code, out, err = run_cli(capsys, "sumform", "1", "1", "-2")
     assert code == 0

@@ -235,10 +235,10 @@ def test_positive_divisors_splits_psi12():
 
 
 def test_positive_divisors_splits_psi13(monkeypatch):
-    # psi_13 passes Miller-Rabin to every base 2..41, so it is set aside as
-    # a probable prime and rho does not search it; Pocklington's test shows
-    # it composite (base 43 fails Fermat), and only then do rho and ECM
-    # split it
+    # psi_13 passes Miller-Rabin to every base 2..41, so it is taken for a
+    # probable prime and proven at once, before rho searches it;
+    # Pocklington's test shows it composite (base 43 fails Fermat), and only
+    # then do rho and ECM split it
     psi13 = 3317044064679887385961981
     assert is_prime(psi13)
     rho_split, proven = intmath._rho_split, intmath._proven
@@ -264,30 +264,46 @@ def test_positive_divisors_splits_psi13(monkeypatch):
 
 def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
     # the root test reads psi_13^2 as psi_13 counted twice, a probable
-    # prime; the proof shows it composite, and each of its pieces is
-    # factored once and counted twice
+    # prime; the proof shows it composite once, rho or ECM splits it once,
+    # and each of its pieces is counted twice
     psi13 = 3317044064679887385961981
-    piece = intmath._piece
-    fed = []
+    proven, rho_split, ecm_split = intmath._proven, intmath._rho_split, intmath._ecm_split
+    outcomes, splits = [], []
 
-    def recording(pending, budget):
-        # the cofactor each call starts from
-        fed.append(pending[-1][0])
-        return piece(pending, budget)
+    def recording_proof(n, budget):
+        result = proven(n, budget)
+        outcomes.append((n, result[0]))
+        return result
 
-    monkeypatch.setattr(intmath, "_piece", recording)
+    def recording(split):
+        def wrapped(n, budget):
+            d, left = split(n, budget)
+            if d is not None:
+                splits.append(n)
+            return d, left
+
+        return wrapped
+
+    monkeypatch.setattr(intmath, "_proven", recording_proof)
+    monkeypatch.setattr(intmath, "_rho_split", recording(rho_split))
+    monkeypatch.setattr(intmath, "_ecm_split", recording(ecm_split))
     assert intmath._factorize(psi13**2) == {1287836182261: 2, 2575672364521: 2}
-    assert [fed.count(m) for m in (psi13**2, 1287836182261, 2575672364521)] == [1, 1, 1]
+    assert outcomes == [(psi13, False)]
+    # (the proof splits cofactors of psi_13 - 1 too)
+    assert splits.count(psi13) == 1
 
 
 def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
     # a probable prime the proof shows composite is refused as composite
     # when rho and ECM do not split it, not as a prime not proven
     psi13 = 3317044064679887385961981
-    split = intmath._split
-    monkeypatch.setattr(
-        intmath, "_split", lambda m, budget: (None, budget) if m == psi13 else split(m, budget)
-    )
+    for name in ("_rho_split", "_ecm_split"):
+        split = getattr(intmath, name)
+        monkeypatch.setattr(
+            intmath,
+            name,
+            lambda m, budget, split=split: (None, budget) if m == psi13 else split(m, budget),
+        )
     with pytest.raises(
         DivisorLimitExceeded, match=f"cofactor {psi13} of {psi13} is composite, not split within"
     ):
@@ -339,6 +355,16 @@ def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
     monkeypatch.setattr(intmath, "_proven", recording)
     assert positive_divisors(n) == [1, n]
     assert calls == [n, 2**89 - 1]
+
+
+def test_pocklington_splits_a_shown_composite_of_f():
+    # n - 1 = 2^4 * 3 * psi_13, and 48^2 < n, so F must include psi_13's
+    # primes: the proof of n proves psi_13 composite and then splits it
+    n = 48 * 3317044064679887385961981 + 1
+    assert n == 159218115104634594526175089
+    start = time.process_time()
+    assert positive_divisors(n) == [1, n]
+    assert time.process_time() - start < 2
 
 
 def test_positive_divisors_splits_rho_limit_semiprime():
@@ -532,7 +558,7 @@ def test_positive_divisors_refuses_past_the_factoring_budget(n, outcome, ceiling
 
 def test_proofs_draw_on_the_factoring_meter(monkeypatch):
     # trial division strips 30 from 30 * (2^89 - 1), and Miller-Rabin finds
-    # 2^89 - 1 a probable prime; its proof comes last.  With the budget one
+    # 2^89 - 1 a probable prime; its proof comes next.  With the budget one
     # unit above what came before the proof, the proof has that one unit
     # and is refused: it gets no budget of its own
     p = 2**89 - 1
