@@ -24,7 +24,7 @@ from .errors import (
     DivisorLimitExceeded,
     NotFactorable,
 )
-from .intmath import extended_gcd, integer_sqrt, positive_divisors
+from .intmath import integer_sqrt, positive_divisors
 from .oracle import SearchBound, brute_force, random_valid_conic, solution_bound
 from .solver import (
     MOD4_OBSTRUCTION,
@@ -57,7 +57,6 @@ __all__ = [
     "SearchBound",
     "brute_force",
     "content_reduce",
-    "extended_gcd",
     "factor_forms",
     "integer_sqrt",
     "invariants_of",

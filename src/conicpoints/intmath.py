@@ -126,25 +126,6 @@ def ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with g = gcd(a, b) >= 0 and a*u + b*v == g.
-
-    Iterative extended Euclid.  Works for any signs; the final sign flip
-    keeps g nonnegative so callers can use it as a divisor directly.
-    """
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..41: exact for every n below psi_13.
 
@@ -372,7 +353,8 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
 
 def _strip_small(n: int, factors: dict[int, int]) -> int:
     """Divide the primes below _SMALL_LIMIT out of n >= 1 into ``factors``
-    and return what is left, which has no prime factor below 2^10."""
+    and return what is left: 1, a prime, or a number with no prime factor
+    below 2^10."""
     rest = n
     for p in _SMALL_PRIMES:
         if p * p > rest:
@@ -484,26 +466,24 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
     Comp. 29, 1975): let F divide n - 1 with F^2 > n, and for each prime q
     of F let some a have a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1
     modulo n.  Then every prime factor of n is 1 modulo F, so n is prime.
-    F is the part of n - 1 that _piece factors, taken until F^2 > n; a
-    probable prime of it at or above psi_13 is proven the same way where
-    _piece finds it, and split if shown composite.  A composite n never
-    passes: a^(n-1) != 1 or a proper gcd shows it composite.  Each power is
-    charged by its exponent's bits, as _charge(n, bits) units.
+    F is the part of n - 1 that _piece factors, kept as {q: e} with each
+    prime counted at its exponent, until F^2 > n; a probable prime of it at
+    or above psi_13 is proven the same way where _piece finds it, and split
+    if shown composite.  A composite n never passes: a^(n-1) != 1 or a
+    proper gcd shows it composite.  Each power is charged by its exponent's
+    bits, as _charge(n, bits) units.
     """
-    small: dict[int, int] = {}
-    rest = _strip_small(n - 1, small)
+    f: dict[int, int] = {}
+    rest = _strip_small(n - 1, f)
     pending = [(rest, 1)] if rest > 1 else []
-    f = math.prod(p**e for p, e in small.items())
-    qs = set(small)
-    while f * f <= n:
+    while math.prod(p**e for p, e in f.items()) ** 2 <= n:
         if not pending:
             return None, budget
-        m, _, kind, budget = _piece(pending, budget)
+        m, e, kind, budget = _piece(pending, budget)
         # a cofactor not split or not proven stays out of F
         if kind == "prime":
-            f *= m
-            qs.add(m)
-    for q in qs:
+            f[m] = f.get(m, 0) + e
+    for q in f:
         e = (n - 1) // q
         cost = _charge(n, e.bit_length() + q.bit_length())
         for a in count(2):

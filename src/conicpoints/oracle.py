@@ -194,12 +194,14 @@ def random_valid_conic(
 ) -> Conic:
     """Deterministic sample from the admissible family.
 
-    Draw k and a beta of matching parity with beta != +-k, so that
-    (beta^2 - k^2)/4 is a nonzero integer; split it as alpha*gamma over a
-    random divisor; draw the linear coefficients freely.  One draw in eight
-    zeroes delta, epsilon and j to force degenerate (big_i = 0) instances
-    into the stream.
+    Draw k and a beta of matching parity with beta != +-k (max_bk < 2 has
+    none: ValueError), so that (beta^2 - k^2)/4 is a nonzero integer; split
+    it as alpha*gamma over a random divisor; draw the linear coefficients
+    freely, up to max_linear >= 0.  One draw in eight zeroes delta, epsilon
+    and j to force degenerate (big_i = 0) instances into the stream.
     """
+    if max_bk < 2 or max_linear < 0:
+        raise ValueError("need max_bk >= 2 and max_linear >= 0")
     import random  # here, not at the top: solving never draws
 
     rng = random.Random(seed)

@@ -20,6 +20,7 @@ F2 = 0, each an ordinary linear Diophantine equation.
 
 from __future__ import annotations
 
+import math
 from itertools import count, islice
 from typing import Iterator, NamedTuple
 
@@ -33,7 +34,7 @@ from .conic import (
     validate,
 )
 from .errors import DivisorLimitExceeded, _int_text
-from .intmath import POINT_BUDGET, ceil_div, extended_gcd, positive_divisors
+from .intmath import POINT_BUDGET, ceil_div, positive_divisors
 
 
 class ParamLine(NamedTuple):
@@ -42,9 +43,9 @@ class ParamLine(NamedTuple):
     The line is solvable exactly when base is not None; the solutions are
     then base + t*direction for integer t.  direction is (b/g, -a/g) with
     g = gcd(a, b), sign-normalized so its first nonzero component is
-    positive; base is translated along direction so its leading coordinate
-    is the smallest nonnegative representative, which makes the
-    representation canonical.
+    positive; base is the solution whose leading coordinate lies in
+    [0, that component), which makes the representation canonical: x in
+    [0, |b/g|) when b != 0, and (c/a, 0) when b == 0.
     """
 
     a: int
@@ -182,23 +183,22 @@ def solve_finite(
 def solve_linear_diophantine(a: int, b: int, c: int) -> ParamLine:
     """Describe the integer solutions of a*x + b*y = c.
 
-    Solvable exactly when gcd(a, b) divides c; a particular solution comes
-    from the extended gcd, then gets shifted to the canonical representative
-    described on ParamLine.
+    Solvable exactly when g = gcd(a, b) divides c.  The canonical base of
+    ParamLine is built directly: for b != 0 its x is (c/g) * (a/g)^-1
+    modulo |b/g| and its y is (c - a*x) / b; for b == 0 it is (c/a, 0).
     """
     if a == 0 and b == 0:
         raise ValueError("a and b cannot both be zero")
-    g, u, v = extended_gcd(a, b)
+    g = math.gcd(a, b)
     dx, dy = b // g, -(a // g)
     if dx < 0 or (dx == 0 and dy < 0):
         dx, dy = -dx, -dy
     if c % g:
         return ParamLine(a, b, c, None, (dx, dy))
-    q = c // g
-    x0, y0 = u * q, v * q
-    t = x0 // dx if dx else y0 // dy
-    base = LatticePoint(x0 - t * dx, y0 - t * dy)
-    return ParamLine(a, b, c, base, (dx, dy))
+    if b:
+        x = c // g * pow(a // g, -1, dx) % dx
+        return ParamLine(a, b, c, LatticePoint(x, (c - a * x) // b), (dx, dy))
+    return ParamLine(a, b, c, LatticePoint(c // a, 0), (dx, dy))
 
 
 def solve_degenerate(conic: Conic, inv: Invariants) -> tuple[ParamLine, ParamLine]:

@@ -436,6 +436,15 @@ def test_sumform_prime_whose_proof_splits_psi13(capsys):
     assert len(out.splitlines()) == 4
 
 
+def test_sumform_prime_whose_proof_needs_a_prime_power(capsys):
+    # 2*q^3 + 1 with q = 1200000707 is prime; its proof needs q^3 in F
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "sumform", "1", "1", "-3456006108483598913506786487")
+    assert time.process_time() - start < 1
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
 def test_sumform_obstruction(capsys):
     code, out, err = run_cli(capsys, "sumform", "1", "1", "-2")
     assert code == 0

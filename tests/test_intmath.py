@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from conicpoints import (
     DivisorLimitExceeded,
-    extended_gcd,
     integer_sqrt,
     positive_divisors,
 )
@@ -54,23 +53,6 @@ def test_ceil_div_either_sign():
         for q in (*range(-7, 0), *range(1, 8)):
             assert ceil_div(p, q) == math.ceil(Fraction(p, q))
     assert ceil_div(-(10**40) - 1, -(10**20)) == 10**20 + 1
-
-
-def test_extended_gcd_known():
-    g, u, v = extended_gcd(240, 46)
-    assert g == 2
-    assert 240 * u + 46 * v == 2
-    assert extended_gcd(1, 0) == (1, 1, 0)
-    g, u, v = extended_gcd(6, 9)
-    assert g == 3 and 6 * u + 9 * v == 3
-
-
-@given(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20))
-def test_extended_gcd_bezout(a, b):
-    g, u, v = extended_gcd(a, b)
-    assert g == math.gcd(a, b)
-    assert a * u + b * v == g
-    assert g >= 0
 
 
 def test_positive_divisors_of_80():
@@ -312,7 +294,8 @@ def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
 
 # The probable primes at or above psi_13 in the reduced targets of the
 # benchmark's over-cap slice (bench/overcap.json, digits20/0, 3, 4, 5, 6,
-# 9, 10, 13, 15, 16, 18 and 19), and Mersenne primes.
+# 9, 10, 13, 15, 16, 18 and 19), Mersenne primes, and one prime whose
+# n - 1 holds a large prime to a power.
 PROVABLE_PRIMES = [
     129038938365214773537858908429,
     386148255740571217985298156305067121,
@@ -329,6 +312,9 @@ PROVABLE_PRIMES = [
     2**89 - 1,
     2**107 - 1,
     2**127 - 1,
+    # 2*q^3 + 1 with q = 1200000707: F = n - 1 = 2*q^3, whose F^2 > n
+    # needs q at its full power
+    2 * 1200000707**3 + 1,
 ]
 
 
@@ -355,6 +341,12 @@ def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
     monkeypatch.setattr(intmath, "_proven", recording)
     assert positive_divisors(n) == [1, n]
     assert calls == [n, 2**89 - 1]
+
+
+def test_pocklington_shows_composite_by_a_proper_gcd():
+    # 2701 = 37 * 73 and 2700 = 2^2 * 3^3 * 5^2: a^2700 = 1 for a = 2, but
+    # gcd(2^(2700/q) - 1, 2701) is a proper factor for some q of F
+    assert intmath._proven(2701, intmath._BUDGET)[0] is False
 
 
 def test_pocklington_splits_a_shown_composite_of_f():

@@ -91,6 +91,15 @@ def test_random_valid_conic_deterministic():
     assert random_valid_conic(3) != random_valid_conic(4)
 
 
+@pytest.mark.parametrize("sizes", [{"max_bk": 1}, {"max_bk": 0}, {"max_linear": -1}])
+def test_random_valid_conic_rejects_sizes_it_cannot_draw(sizes):
+    # with k = 1 every beta of matching parity is +-k, so the draw would
+    # never end; a negative max_linear fails only on some draws
+    for seed in range(3):
+        with pytest.raises(ValueError, match="max_bk >= 2 and max_linear >= 0"):
+            random_valid_conic(seed, **sizes)
+
+
 def test_random_valid_conic_always_validates():
     for seed in range(1000):
         conic = random_valid_conic(seed)

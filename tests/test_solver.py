@@ -212,6 +212,21 @@ def test_linear_diophantine_direction_normalization():
         assert a * dx + b * dy == 0
 
 
+_COEFFICIENT = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+
+
+@given(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)
+def test_linear_diophantine_canonical_base_at_size(a, b, c):
+    assume(a or b)
+    c -= c % math.gcd(a, b)
+    line = solve_linear_diophantine(a, b, c)
+    x, y = line.base
+    assert a * x + b * y == c
+    d = line.direction[0] or line.direction[1]
+    assert d > 0
+    assert 0 <= (x if line.direction[0] else y) < d
+
+
 # ---------------------------------------------------------------------------
 # degenerate conics (big_i = 0)
 
