@@ -7,16 +7,7 @@ lines (degenerate case I = 0); the oracle module re-derives answers by a
 bounded discriminant search that shares no code with the solver route.
 """
 
-from .conic import (
-    Conic,
-    FactorForm,
-    Invariants,
-    LatticePoint,
-    content_reduce,
-    factor_forms,
-    invariants_of,
-    validate,
-)
+from .conic import Conic, Invariants, LatticePoint, invariants_of, validate
 from .errors import (
     ConicError,
     DegenerateAlpha,
@@ -24,7 +15,6 @@ from .errors import (
     DivisorLimitExceeded,
     NotFactorable,
 )
-from .intmath import integer_sqrt, positive_divisors
 from .oracle import SearchBound, brute_force, random_valid_conic, solution_bound
 from .solver import (
     MOD4_OBSTRUCTION,
@@ -34,10 +24,7 @@ from .solver import (
     power_of_two_conic,
     power_of_two_points,
     solve,
-    solve_degenerate,
     solve_difference_of_squares,
-    solve_finite,
-    solve_linear_diophantine,
 )
 
 __all__ = [
@@ -46,7 +33,6 @@ __all__ = [
     "DegenerateAlpha",
     "DegenerateGamma",
     "DivisorLimitExceeded",
-    "FactorForm",
     "FiniteSolutions",
     "Invariants",
     "LatticePoint",
@@ -56,19 +42,12 @@ __all__ = [
     "ParamLine",
     "SearchBound",
     "brute_force",
-    "content_reduce",
-    "factor_forms",
-    "integer_sqrt",
     "invariants_of",
-    "positive_divisors",
     "power_of_two_conic",
     "power_of_two_points",
     "random_valid_conic",
     "solution_bound",
     "solve",
-    "solve_degenerate",
     "solve_difference_of_squares",
-    "solve_finite",
-    "solve_linear_diophantine",
     "validate",
 ]

@@ -379,13 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Coefficients are decimal integers of any size; since Python 3.10.7,
-    # str() and int() refuse integers over 4,300 digits by default.  The
-    # limit is lifted while main runs and restored on every exit.
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    # Coefficients are decimal integers of any size, but str() and int()
+    # refuse integers over 4,300 digits by default.  The limit is lifted
+    # while main runs and restored on every exit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -405,9 +403,4 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        sys.set_int_max_str_digits(limit)

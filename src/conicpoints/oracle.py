@@ -15,6 +15,7 @@ import math
 from typing import NamedTuple
 
 from .conic import Conic, Invariants, LatticePoint, invariants_of, validate
+from .errors import DegenerateAlpha
 from .intmath import ceil_div, positive_divisors
 
 
@@ -135,9 +136,12 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     Both paths read the roots off the quadratic formula row by row: the
     filters use only that a square is a square modulo every m, and the
     line-pair path only the identity above, so no factor form, divisor or
-    gcd is shared with the solver.
+    gcd is shared with the solver.  The conic must be quadratic in x:
+    alpha = 0 raises DegenerateAlpha, as invariants_of does.
     """
     a, b, d = conic.alpha, conic.beta, conic.delta
+    if a == 0:
+        raise DegenerateAlpha("alpha must be nonzero")
     p = b * b - 4 * a * conic.gamma
     q = 2 * b * d - 4 * a * conic.epsilon
     r = d * d - 4 * a * conic.j

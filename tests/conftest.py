@@ -7,11 +7,7 @@ import pytest
 
 @pytest.fixture
 def default_int_str_limit():
-    """Python's default int/str digit limit, 4,300, while the test runs
-    (interpreters before 3.10.7 have no limit to set)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Python's default int/str digit limit, 4,300, while the test runs."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:

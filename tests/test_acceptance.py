@@ -14,19 +14,18 @@ from math import gcd
 from conicpoints import (
     MOD4_OBSTRUCTION,
     brute_force,
-    factor_forms,
     invariants_of,
     power_of_two_conic,
     power_of_two_points,
     random_valid_conic,
     solution_bound,
     solve,
-    solve_degenerate,
     solve_difference_of_squares,
-    solve_finite,
     validate,
 )
 from conicpoints.cli import main
+from conicpoints.conic import factor_forms
+from conicpoints.solver import solve_degenerate, solve_finite
 from test_solver import _theorem1_points
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]

@@ -585,7 +585,6 @@ def test_coefficients_past_the_int_str_digit_limit(capsys):
     assert json.loads(out)["error"]["code"] == "divisor-limit"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 def test_main_restores_the_int_str_digit_limit(capsys):
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)

@@ -8,16 +8,14 @@ from conicpoints import (
     Conic,
     DegenerateAlpha,
     DegenerateGamma,
-    FactorForm,
     NotFactorable,
-    content_reduce,
-    factor_forms,
     invariants_of,
     random_valid_conic,
     solution_bound,
     solve,
     validate,
 )
+from conicpoints.conic import FactorForm, content_reduce, factor_forms
 
 # 2x^2 - 5xy + 2y^2 - x + y - 1 = 0, the worked example used throughout
 GOLDEN = (2, -5, 2, -1, 1, -1)

@@ -1,9 +1,11 @@
-"""No module of the package imports a name it never uses, and the CLI
-imports no module that only records or sampling need."""
+"""The package root exports the documented API and no building block; no
+module of the package imports a name it never uses, and the CLI imports no
+module that only records or sampling need."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,50 @@ from pathlib import Path
 import conicpoints
 
 PACKAGE = Path(conicpoints.__file__).parent
+
+ROOT_API = [
+    "Conic",
+    "ConicError",
+    "DegenerateAlpha",
+    "DegenerateGamma",
+    "DivisorLimitExceeded",
+    "FiniteSolutions",
+    "Invariants",
+    "LatticePoint",
+    "LinePair",
+    "MOD4_OBSTRUCTION",
+    "NotFactorable",
+    "ParamLine",
+    "SearchBound",
+    "brute_force",
+    "invariants_of",
+    "power_of_two_conic",
+    "power_of_two_points",
+    "random_valid_conic",
+    "solution_bound",
+    "solve",
+    "solve_difference_of_squares",
+    "validate",
+]
+
+BUILDING_BLOCKS = {
+    "conic": ["FactorForm", "content_reduce", "factor_forms"],
+    "solver": ["solve_degenerate", "solve_finite", "solve_linear_diophantine"],
+    "intmath": ["integer_sqrt", "positive_divisors"],
+}
+
+
+def test_root_exports_the_documented_api():
+    assert sorted(conicpoints.__all__) == ROOT_API
+    assert all(hasattr(conicpoints, name) for name in ROOT_API)
+
+
+def test_building_blocks_import_from_their_modules():
+    for module, names in BUILDING_BLOCKS.items():
+        mod = importlib.import_module(f"conicpoints.{module}")
+        for name in names:
+            assert not hasattr(conicpoints, name), name
+            assert getattr(mod, name).__module__ == mod.__name__, name
 
 
 def _dead_imports(source: str) -> list[str]:

@@ -11,14 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conicpoints import (
-    DivisorLimitExceeded,
-    integer_sqrt,
-    positive_divisors,
-)
-from conicpoints import intmath
+from conicpoints import DivisorLimitExceeded, intmath
 from conicpoints.errors import _int_text
-from conicpoints.intmath import POINT_BUDGET, ceil_div, is_prime
+from conicpoints.intmath import POINT_BUDGET, ceil_div, integer_sqrt, is_prime, positive_divisors
 
 
 def test_integer_sqrt_basics():

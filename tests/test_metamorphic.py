@@ -22,13 +22,13 @@ from conicpoints import (
     ConicError,
     FiniteSolutions,
     LinePair,
-    factor_forms,
     invariants_of,
     power_of_two_conic,
     random_valid_conic,
     solve,
     validate,
 )
+from conicpoints.conic import factor_forms
 
 FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "j")
 GOLDEN = (2, -5, 2, -1, 1, -1)

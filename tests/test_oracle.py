@@ -7,20 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicpoints import (
+    Conic,
+    DegenerateAlpha,
     LatticePoint,
     SearchBound,
     brute_force,
-    integer_sqrt,
     invariants_of,
     power_of_two_conic,
     power_of_two_points,
     random_valid_conic,
     solution_bound,
     solve,
-    solve_finite,
     validate,
 )
+from conicpoints.intmath import integer_sqrt
 from conicpoints.oracle import _SQUARES, _WHEEL_FACTORS, _square_classes, _wheel
+from conicpoints.solver import solve_finite
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
 
@@ -83,6 +85,15 @@ def test_brute_force_degenerate_box():
     pts = brute_force(conic, SearchBound(3, 3))
     assert len(pts) == 13
     assert all(x * x == y * y for x, y in pts)
+
+
+def test_brute_force_needs_only_alpha_nonzero():
+    # the quadratic formula divides by 2*alpha
+    with pytest.raises(DegenerateAlpha, match="alpha must be nonzero"):
+        brute_force(Conic(0, 1, 1, 0, 0, -1), SearchBound(3, 3))
+    # the Pell conic x^2 - 2y^2 = 1 is not factorable, but the scan is exact
+    pell = Conic(1, 0, -2, 0, 0, -1)
+    assert brute_force(pell, SearchBound(3, 3)) == [(-3, -2), (-3, 2), (-1, 0), (1, 0), (3, -2), (3, 2)]
 
 
 def test_random_valid_conic_deterministic():

@@ -16,23 +16,19 @@ from conicpoints import (
     LinePair,
     MOD4_OBSTRUCTION,
     brute_force,
-    content_reduce,
-    factor_forms,
     invariants_of,
-    positive_divisors,
     power_of_two_conic,
     power_of_two_points,
     random_valid_conic,
     SearchBound,
     solve,
-    solve_degenerate,
     solve_difference_of_squares,
-    solve_finite,
-    solve_linear_diophantine,
     validate,
 )
 from conicpoints import intmath, solver
-from conicpoints.intmath import is_prime
+from conicpoints.conic import content_reduce, factor_forms
+from conicpoints.intmath import is_prime, positive_divisors
+from conicpoints.solver import solve_degenerate, solve_finite, solve_linear_diophantine
 from test_intmath import PROVABLE_PRIMES
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
