@@ -48,8 +48,8 @@ class DivisorLimitExceeded(ConicError):
 
     One of the number's cofactors was not split or not proven prime
     within the one factoring budget, which rho, ECM and the primality
-    proofs share, or the number has more divisors than the point budget
-    allows; the message names which.
+    proofs share, or its divisors give more points than the point budget
+    allows, each counted by its size; the message names which.
     """
 
     code = "divisor-limit"

@@ -16,14 +16,17 @@ from .errors import DivisorLimitExceeded, _int_text
 # The point and factoring budgets (the oracle's is oracle.ROW_BUDGET).  The
 # times below are CPU time on a 2-vCPU x86-64 machine with Python 3.11.
 #
-# Points an answer may have: a finite solve tries one per signed divisor,
-# so positive_divisors refuses more than POINT_BUDGET / 2 divisors before
-# building any, and a line pair's box under --check or oracle (two points a
-# row) is refused with exit code 5 past it.  At the edges, `solve --format
-# json` on the target 3*5*...*61 took 0.7-0.9 s of CPU time, 16 MB of output
-# and 105 MB peak, and `solve --check --bound 65535 1 0 -1 0 0 0` about
-# 0.2 s and 46 MB.
+# Points an answer may have, each counted once per started POINT_WORD bits
+# of its coordinates (check_point_budget): a finite solve tries one per
+# signed divisor and is refused past it before it builds the divisors or
+# the points, and a line pair's box under --check or oracle (two points a
+# row) is refused with exit code 5 past POINT_BUDGET points of any size.
+# At the edges, `solve --format json` on the target 3*5*...*61 took
+# 0.7-0.9 s of CPU time, 16 MB of output and 105 MB peak, `theorem1 3 0 0
+# 8192` (16 words a point) 1.2 s, 61 MB and 163 MB, and `solve --check
+# --bound 65535 1 0 -1 0 0 0` about 0.2 s and 46 MB.
 POINT_BUDGET = 1 << 18
+POINT_WORD = 512
 
 # The factoring budget: the work one positive_divisors call may spend on
 # rho's steps, the Miller-Rabin tests it charges, ECM and the Pocklington
@@ -529,6 +532,21 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def check_point_budget(points: int, bits: int, subject: str, *numbers: int) -> None:
+    """Raise DivisorLimitExceeded when ``points``, one per signed divisor of
+    ``subject`` (a template for ``numbers``, filled in only then), of up to
+    ``bits`` bits a coordinate, count past POINT_BUDGET: each counts once
+    per started POINT_WORD bits, and at least once."""
+    charge = points * max(1, ceil_div(bits, POINT_WORD))
+    if charge > POINT_BUDGET:
+        subject = subject.format(*map(_int_text, numbers))
+        raise DivisorLimitExceeded(
+            f"{subject} has {_int_text(points // 2)} divisors, {_int_text(points)} "
+            f"signed points of up to {_int_text(bits)} bits, {_int_text(charge)} in "
+            f"{POINT_WORD}-bit words, over the point budget of {POINT_BUDGET}"
+        )
+
+
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
@@ -542,18 +560,15 @@ def positive_divisors(n: int) -> list[int]:
     ``n == 0`` is rejected (every integer divides zero), and
     DivisorLimitExceeded is raised for a cofactor not split or a probable
     prime not proven within the one factoring budget, _BUDGET units for
-    all of it, and for more than POINT_BUDGET / 2 divisors.
+    all of it, and for divisors past the point budget, each counted at
+    |n|'s bits.
     """
     if n == 0:
         raise ValueError("0 has no finite divisor list")
     n = abs(n)
     factors = _factorize(n)
     tau = math.prod(e + 1 for e in factors.values())
-    if 2 * tau > POINT_BUDGET:
-        raise DivisorLimitExceeded(
-            f"|{_int_text(n)}| has {tau} divisors, {2 * tau} signed, over the point "
-            f"budget of {POINT_BUDGET}"
-        )
+    check_point_budget(2 * tau, n.bit_length(), "|{}|", n)
     divisors = [1]
     for p, e in factors.items():
         divisors += [d * q for q in accumulate(repeat(p, e), mul) for d in divisors]

@@ -33,8 +33,7 @@ from .conic import (
     invariants_of,
     validate,
 )
-from .errors import DivisorLimitExceeded, _int_text
-from .intmath import POINT_BUDGET, ceil_div, positive_divisors
+from .intmath import ceil_div, check_point_budget, positive_divisors
 
 
 class ParamLine(NamedTuple):
@@ -135,6 +134,7 @@ def solve_finite(
     point is built once, as a LatticePoint.  The derivative of u in d,
     b2 + b1*target/d^2, changes sign at most once, so each sign's x values
     form at most two monotone runs and the one sort is close to linear.
+    The points are charged to the point budget before any is built.
     """
     if inv.big_i == 0:
         raise ValueError("big_i == 0 is the degenerate case; use solve_degenerate")
@@ -155,6 +155,9 @@ def solve_finite(
         # s2 = -e: fold the sign into the two coefficients that multiply s2
         a1, b1 = -a1, -b1
     divisors = positive_divisors(target)
+    size = abs(target)  # d, e <= size: |x| <= (|kx| + |u|) / |det|, y likewise
+    bound = max(abs(kx) + (abs(b1) + abs(b2)) * size, abs(ky) + (abs(a1) + abs(a2)) * size)
+    check_point_budget(2 * len(divisors), (bound // abs(det)).bit_length(), "|{}|", target)
     plus, minus = [], []
     new = tuple.__new__  # skips the Python-level LatticePoint.__new__
     if det == 1 or det == -1:
@@ -273,14 +276,17 @@ def power_of_two_points(
 
     for i = 2..n and e = +-1.  solve_finite computes them: the reduced target
     is 2^(n-2) and the reduced determinant 1, so each signed divisor is a
-    point.  Past the point budget DivisorLimitExceeded is raised before
-    anything of size 2^n is built, as solve_finite would raise on 2^(n-2);
-    then power_of_two_conic checks the arguments.
+    point.  The point budget is checked first, before anything of size 2^n:
+    the reduced forms x + (beta -+ 1)/2*y + (delta +- M)/2 put |x| at most
+    |delta + beta*M|/2 + |beta|*2^(n-2) and |y| at most |M| + 2^(n-1), as
+    solve_finite bounds them.  Then power_of_two_conic checks the arguments.
     """
-    if 2 * (n - 1) > POINT_BUDGET:
-        raise DivisorLimitExceeded(
-            f"the reduced target 2^{_int_text(n - 2)} has {_int_text(n - 1)} divisors, "
-            f"{_int_text(2 * (n - 1))} signed, over the point budget of {POINT_BUDGET}"
-        )
+    m0 = 2 * epsilon - beta * delta
+    kx = abs(delta + beta * m0) >> 1
+    bits = max(
+        max(kx.bit_length(), abs(beta).bit_length() + n - 2) + (kx != 0),
+        max(abs(m0).bit_length(), n - 1) + (m0 != 0),
+    )
+    check_point_budget(2 * (n - 1), bits, "the reduced target 2^{}", n - 2)
     conic = power_of_two_conic(beta, delta, epsilon, n)
     return solve_finite(conic, invariants_of(conic))

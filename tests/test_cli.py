@@ -408,10 +408,11 @@ def test_theorem1_invalid(capsys):
     assert "odd" in err
 
 
-@pytest.mark.parametrize("n", ["131074", "1000000"])
+@pytest.mark.parametrize("n", ["131074", "1000000", "8193"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_theorem1_point_budget(capsys, n, fmt):
-    """Past the point budget theorem1 refuses at once, before any 2^n."""
+    """Past the point budget theorem1 refuses at once, before any 2^n: from
+    n = 8193 on its 2*(n - 1) points of n bits count 17 words or more each."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "theorem1", "--format", fmt, "3", "0", "0", n)
     elapsed = time.perf_counter() - start

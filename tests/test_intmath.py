@@ -137,8 +137,8 @@ def test_divisor_budget_past_the_int_str_digit_limit(default_int_str_limit):
     with pytest.raises(DivisorLimitExceeded) as info:
         positive_divisors(2**131074)
     assert str(info.value) == (
-        "|<131075-bit integer>| has 131075 divisors, 262150 signed, "
-        f"over the point budget of {POINT_BUDGET}"
+        "|<131075-bit integer>| has 131075 divisors, 262150 signed points of up to "
+        f"131075 bits, 67372550 in 512-bit words, over the point budget of {POINT_BUDGET}"
     )
     assert _int_text(2**14000 - 1) == str(2**14000 - 1)
     assert _int_text(2**14000) == "<14001-bit integer>"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +30,7 @@ from conicpoints import intmath, solver
 from conicpoints.conic import content_reduce, factor_forms
 from conicpoints.intmath import is_prime, positive_divisors
 from conicpoints.solver import solve_degenerate, solve_finite, solve_linear_diophantine
-from test_intmath import PROVABLE_PRIMES
+from test_intmath import PROVABLE_PRIMES, SMALL_PRIMES_TO_61
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
 GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
@@ -433,6 +434,7 @@ PLANTED_FACTORS = [
     {8366609: 1, 8367641: 1},
     {2: 46},
     {2: 6, 3: 4, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1},  # tau = 6720
+    {2: 3000},  # 6,002 points of 6 words each, with 905-digit coefficients
 ]
 
 
@@ -447,6 +449,61 @@ def test_solve_planted_target_counts(factors):
         points = solve(conic).points
         assert len(set(points)) == len(points) == 2 * tau
         assert all(conic.evaluate(x, y) == 0 for x, y in points)
+
+
+# the point budget counts each point once per started 512 bits
+
+def test_solve_point_size_budget_refuses_before_the_divisor_list():
+    # 2^14600 has 14,601 divisors, but points of 14,601 bits count 29 times
+    # each: refused before the divisors are built, not after 200 MB of text
+    conic, _ = _planted_target_conic(random.Random(5), 2**14600)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            DivisorLimitExceeded,
+            match=r"^\|<14601-bit integer>\| has 14601 divisors, 29202 signed points of up "
+            r"to 14601 bits, 846858 in 512-bit words, over the point budget of 262144$",
+        ):
+            solve(conic)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_point_size_budget_refuses_before_the_cramer_loop():
+    # the target 3*5*...*61 is at the point budget with small points, but
+    # delta near 10^1000 makes every point about 3,300 bits long
+    target = math.prod(SMALL_PRIMES_TO_61) // 2
+    beta, delta, epsilon = 3, 10**1000, 7
+    m0 = 2 * epsilon - beta * delta
+    conic, inv = validate(1, beta, 2, delta, epsilon, (delta * delta - m0 * m0 - 4 * target) // 4)
+    assert inv.big_i == 4 * target
+    start = time.process_time()
+    with pytest.raises(
+        DivisorLimitExceeded,
+        match=f"^\\|{target}\\| has 131072 divisors, 262144 signed points of up to 3324 bits",
+    ):
+        solve(conic)
+    assert time.process_time() - start < 0.5
+
+
+def test_solve_finite_bounds_the_bits_of_its_points(monkeypatch):
+    # the bits solve_finite charges bound every coordinate it returns
+    charged = []
+    monkeypatch.setattr(
+        solver, "check_point_budget", lambda points, bits, *subject: charged.append(bits)
+    )
+    rng = random.Random(11)
+    for seed in range(200):
+        conic = random_valid_conic(seed, max_linear=10 ** rng.randint(1, 30))
+        inv = invariants_of(conic)
+        if inv.big_i == 0 or abs(inv.big_i) > 10**30:
+            continue
+        for reduce in (True, False):
+            charged.clear()
+            points = solve_finite(conic, inv, reduce=reduce)
+            if points:
+                assert max(abs(c).bit_length() for p in points for c in p) <= charged[0]
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +778,7 @@ def test_power_of_two_counts_and_agreement():
 def test_power_of_two_points_budget(monkeypatch):
     """power_of_two_points refuses exactly where solve_finite does on the
     conic it describes, whose reduced target 2^(n-2) has n-1 divisors."""
-    for module in (intmath, solver):
-        monkeypatch.setattr(module, "POINT_BUDGET", 64)
+    monkeypatch.setattr(intmath, "POINT_BUDGET", 64)
     for n in range(2, 40):
         conic = power_of_two_conic(3, 0, 1, n)
         try:
@@ -735,6 +791,44 @@ def test_power_of_two_points_budget(monkeypatch):
         assert len(power_of_two_points(3, 0, 1, n)) == 2 * (n - 1)
     else:
         pytest.fail("solve_finite never refused")
+
+
+def test_power_of_two_points_budget_lives_in_intmath(monkeypatch):
+    # one budget, patched in intmath alone, refuses before any conic is built
+    monkeypatch.setattr(intmath, "POINT_BUDGET", 64)
+    monkeypatch.setattr(solver, "validate", lambda *args: pytest.fail("conic built"))
+    with pytest.raises(DivisorLimitExceeded, match="point budget of 64$"):
+        power_of_two_points(3, 0, 1, 34)
+
+
+def test_power_of_two_points_charges_solve_finite_bits(monkeypatch):
+    """power_of_two_points charges at least the bits solve_finite charges
+    on the conic, and both charge exactly n for beta = 3, delta = epsilon = 0."""
+    class Charged(Exception):
+        pass
+
+    charged = []
+
+    def record(points, bits, *subject):
+        charged.append(bits)
+        if len(charged) == 2:
+            raise Charged  # solve_finite's check, before its Cramer loop
+
+    monkeypatch.setattr(solver, "check_point_budget", record)
+    for n in (4, 100, 8192, 8193):
+        charged.clear()
+        with pytest.raises(Charged):
+            power_of_two_points(3, 0, 0, n)
+        assert charged == [n, n]
+    rng = random.Random(8)
+    for _ in range(300):
+        beta = rng.choice([-1, 1]) * rng.randrange(3, 2 ** rng.randint(2, 40), 2)
+        delta = rng.randint(-(2**60), 2**60) >> rng.randint(0, 60)
+        epsilon = rng.randint(-(2**60), 2**60) >> rng.randint(0, 60)
+        charged.clear()
+        with pytest.raises(Charged):
+            power_of_two_points(beta, delta, epsilon, rng.randint(2, 120))
+        assert charged[0] >= charged[1]
 
 
 def test_power_of_two_rejections(monkeypatch):
@@ -766,13 +860,15 @@ def test_power_of_two_rejections(monkeypatch):
 
 
 def test_power_of_two_points_budget_past_the_int_str_digit_limit(default_int_str_limit):
-    # the refusal names n - 2, n - 1 and 2(n - 1) by their bit length, so it
-    # stays a DivisorLimitExceeded under Python's default int/str limit
+    # the refusal names n - 2, n - 1, 2(n - 1), the bits and the words by
+    # their bit length, so it stays a DivisorLimitExceeded under Python's
+    # default int/str limit
     with pytest.raises(DivisorLimitExceeded) as info:
         power_of_two_points(3, 0, 1, 10**4400)
     assert str(info.value) == (
         "the reduced target 2^<14617-bit integer> has <14617-bit integer> "
-        "divisors, <14618-bit integer> signed, over the point budget of "
+        "divisors, <14618-bit integer> signed points of up to <14617-bit integer> "
+        "bits, <29225-bit integer> in 512-bit words, over the point budget of "
         f"{intmath.POINT_BUDGET}"
     )
 
