@@ -66,7 +66,8 @@ def _conic_from_args(args: argparse.Namespace) -> tuple[Conic, Invariants]:
                 doc = json.load(fh)
         except OSError as exc:
             parser.error(f"cannot read {args.input}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, or nesting too deep to parse
             parser.error(f"invalid JSON in {args.input}: {exc}")
         if not isinstance(doc, dict) or set(doc) != set(Conic._fields):
             parser.error(

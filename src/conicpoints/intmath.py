@@ -354,10 +354,10 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
     return None, budget
 
 
-def _strip_small(n: int, factors: dict[int, int]) -> int:
+def _strip_small(n: int, factors: dict[int, int]) -> list[tuple[int, int]]:
     """Divide the primes below _SMALL_LIMIT out of n >= 1 into ``factors``
-    and return what is left: 1, a prime, or a number with no prime factor
-    below 2^10."""
+    and return _piece's pending list for what is left: [] for 1, else
+    [(rest, 1)], rest a prime or a number with no prime factor below 2^10."""
     rest = n
     for p in _SMALL_PRIMES:
         if p * p > rest:
@@ -373,7 +373,7 @@ def _strip_small(n: int, factors: dict[int, int]) -> int:
                     e += k
                     q, k = q * q, 2 * k
             factors[p] = e
-    return rest
+    return [(rest, 1)] if rest > 1 else []
 
 
 def _kth_root(n: int, k: int) -> int:
@@ -414,39 +414,40 @@ def _power_root(m: int, budget: int) -> tuple[int | None, int, int]:
     return m, 1, budget
 
 
-def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, int]:
+def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str | None, int]:
     """Pop cofactors (m, e) off ``pending``, each with no prime below 2^10
     and counted e times, pushing the root r of each perfect power r^k
     (counted e*k times) and both parts of each split, until one is not
-    split: return (m, e, kind, the budget left).
+    split: return (m, e, why, the budget left).
 
     A probable prime at or above psi_13 is proven where it is found
     (_proven); one that the proof shows composite goes on to the root test,
     rho and ECM like any other composite.  Rho may spend a ninth of the
-    budget left, ECM all that rho leaves.  ``kind`` is "prime" for a proven
-    prime, "a probable prime" for one at or above psi_13 not proven within
-    the budget, "composite" for one neither a perfect power nor split, and
-    "untested" for one at or above psi_13 whose Miller-Rabin test, charged
+    budget left, ECM all that rho leaves.  ``why`` is None for a proven
+    prime, else the reason m is refused: "a probable prime, not proven" for
+    one at or above psi_13 not proven within the budget, "composite, not
+    split" for one neither a perfect power nor split, and "untested, not
+    split" for one at or above psi_13 whose Miller-Rabin test, charged
     before it runs, is over the budget.
     """
     while True:
         m, e = pending.pop()
         if m < _SMALL_LIMIT * _SMALL_LIMIT or (m < _PSI_13 and is_prime(m)):
-            return m, e, "prime", budget
+            return m, e, None, budget
         if m >= _PSI_13:
             cost = _charge(m, len(_MR_WITNESSES) * m.bit_length())
             if cost > budget:
-                return m, e, "untested", budget
+                return m, e, "untested, not split", budget
             budget -= cost
             if is_prime(m):
                 proven, budget = _proven(m, budget)
                 if proven is None:
-                    return m, e, "a probable prime", budget
+                    return m, e, "a probable prime, not proven", budget
                 if proven:
-                    return m, e, "prime", budget
+                    return m, e, None, budget
         r, k, budget = _power_root(m, budget)
         if r is None:
-            return m, e, "composite", budget
+            return m, e, "composite, not split", budget
         if k > 1:
             pending.append((r, e * k))
             continue
@@ -456,7 +457,7 @@ def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str, 
         if d is None:
             d, budget = _ecm_split(m, budget)
         if d is None:
-            return m, e, "composite", budget
+            return m, e, "composite, not split", budget
         pending += ((d, e), (m // d, e))
 
 
@@ -477,14 +478,13 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
     bits, as _charge(n, bits) units.
     """
     f: dict[int, int] = {}
-    rest = _strip_small(n - 1, f)
-    pending = [(rest, 1)] if rest > 1 else []
+    pending = _strip_small(n - 1, f)
     while math.prod(p**e for p, e in f.items()) ** 2 <= n:
         if not pending:
             return None, budget
-        m, e, kind, budget = _piece(pending, budget)
+        m, e, why, budget = _piece(pending, budget)
         # a cofactor not split or not proven stays out of F
-        if kind == "prime":
+        if why is None:
             f[m] = f.get(m, 0) + e
     for q in f:
         e = (n - 1) // q
@@ -511,21 +511,17 @@ def _factorize(n: int) -> dict[int, int]:
     and ECM on the composite cofactors, and a Pocklington proof (_proven)
     of each probable prime at or above psi_13 where it is found.  All of it
     draws on one meter of _BUDGET units.  Past it DivisorLimitExceeded is
-    raised in one shape, "the cofactor m of n is composite (or untested),
-    not split" or "is a probable prime, not proven", "within _BUDGET
-    units", so no factorization ever rests on an unproven prime.
+    raised as "the cofactor m of n is <why> within _BUDGET units", with
+    _piece's reason, so no factorization ever rests on an unproven prime.
     """
     factors: dict[int, int] = {}
     budget = _BUDGET
-    rest = _strip_small(n, factors)
-    # cofactors to split, each with the power of it that divides n
-    pending = [(rest, 1)] if rest > 1 else []
+    pending = _strip_small(n, factors)
     while pending:
-        m, e, kind, budget = _piece(pending, budget)
-        if kind != "prime":
-            outcome = "not proven" if kind == "a probable prime" else "not split"
+        m, e, why, budget = _piece(pending, budget)
+        if why is not None:
             raise DivisorLimitExceeded(
-                f"the cofactor {_int_text(m)} of {_int_text(n)} is {kind}, {outcome} "
+                f"the cofactor {_int_text(m)} of {_int_text(n)} is {why} "
                 f"within {_BUDGET} units"
             )
         factors[m] = factors.get(m, 0) + e

@@ -242,6 +242,18 @@ def solve_difference_of_squares(l: int, m: int, j: int) -> FiniteSolutions:
     return FiniteSolutions(tuple(solve_finite(conic, inv)))
 
 
+def _theorem1_m(beta: int, delta: int, epsilon: int, n: int) -> int:
+    """M = 2*epsilon - beta*delta, once Theorem 1's preconditions hold:
+    beta odd, beta != +-1 and n >= 2 (ValueError otherwise)."""
+    if beta % 2 == 0:
+        raise ValueError("beta must be odd")
+    if beta * beta == 1:
+        raise ValueError("beta = +-1 makes gamma zero")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return 2 * epsilon - beta * delta
+
+
 def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
     """The monic unit-k conic whose invariant is exactly 2^n.
 
@@ -251,13 +263,7 @@ def power_of_two_conic(beta: int, delta: int, epsilon: int, n: int) -> Conic:
     constant term gives j = (delta^2 - M^2 - 2^n)/4, an integer for every
     odd beta and n >= 2: delta - M and delta + M are both even.
     """
-    if beta % 2 == 0:
-        raise ValueError("beta must be odd")
-    if beta * beta == 1:
-        raise ValueError("beta = +-1 makes gamma zero")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    m0 = 2 * epsilon - beta * delta
+    m0 = _theorem1_m(beta, delta, epsilon, n)
     num = delta * delta - m0 * m0 - (1 << n)
     gamma = (beta * beta - 1) // 4
     conic, _ = validate(1, beta, gamma, delta, epsilon, num // 4)
@@ -276,12 +282,12 @@ def power_of_two_points(
 
     for i = 2..n and e = +-1.  solve_finite computes them: the reduced target
     is 2^(n-2) and the reduced determinant 1, so each signed divisor is a
-    point.  The point budget is checked first, before anything of size 2^n:
-    the reduced forms x + (beta -+ 1)/2*y + (delta +- M)/2 put |x| at most
-    |delta + beta*M|/2 + |beta|*2^(n-2) and |y| at most |M| + 2^(n-1), as
-    solve_finite bounds them.  Then power_of_two_conic checks the arguments.
+    point.  The arguments are checked first, then the point budget, before
+    anything of size 2^n: the reduced forms x + (beta -+ 1)/2*y +
+    (delta +- M)/2 put |x| at most |delta + beta*M|/2 + |beta|*2^(n-2) and
+    |y| at most |M| + 2^(n-1), as solve_finite bounds them.
     """
-    m0 = 2 * epsilon - beta * delta
+    m0 = _theorem1_m(beta, delta, epsilon, n)
     kx = abs(delta + beta * m0) >> 1
     bits = max(
         max(kx.bit_length(), abs(beta).bit_length() + n - 2) + (kx != 0),

@@ -183,6 +183,28 @@ def test_oracle_row_budget_edge(capsys):
     assert "row budget" in err
 
 
+def test_oracle_row_budget_edge_slowest_finite_box(capsys):
+    """The slowest finite box ROW_BUDGET's comment names: its disc passes
+    every square filter in every row.  At 2^22 - 1 rows it answers within a
+    CPU ceiling; one more row is refused at once."""
+    conic_args = ["1", "3", "2", "0", "0", "-2882880"]
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "oracle", "--bound", "2097151", *conic_args)
+    elapsed = time.process_time() - start
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 666
+    assert elapsed < 5
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "oracle", "--bound", "2097152", *conic_args)
+    elapsed = time.process_time() - start
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: search box (bx=2097152, by=2097152) has 4194305 rows, "
+        "over the oracle row budget of 4194304\n"
+    )
+    assert elapsed < 0.1
+
+
 def test_line_pair_point_budget_edge(capsys):
     from conicpoints.intmath import POINT_BUDGET
 
@@ -408,6 +430,23 @@ def test_theorem1_invalid(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize(
+    "beta, message", [("2", "beta must be odd"), ("1", "beta = +-1 makes gamma zero")]
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_theorem1_preconditions_come_before_the_point_budget(capsys, beta, message, fmt):
+    """A family that does not exist is invalid input at any n, not a
+    refusal by size."""
+    argv = ["theorem1", "--format", fmt, beta, "0", "0", "1000000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["error"] == {"code": "invalid-input", "message": message}
+        assert err == ""
+    else:
+        assert (out, err) == ("", f"error: invalid-input: {message}\n")
+
+
 @pytest.mark.parametrize("n", ["131074", "1000000", "8193"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_theorem1_point_budget(capsys, n, fmt):
@@ -497,6 +536,22 @@ def test_input_file_bad_schema(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", "--input", str(path))
     assert (code, out) == (2, "")
     assert f"invalid JSON in {path}: " in err
+
+
+def test_input_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "conic.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "solve", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert f"invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_input_file_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "conic.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "solve", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert f"invalid JSON in {path}: maximum recursion depth exceeded" in err
 
 
 def test_input_file_non_canonical_integer(tmp_path, capsys):
