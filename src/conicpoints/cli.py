@@ -21,6 +21,7 @@ magnitudes survive any JSON parser.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -382,9 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Coefficients are decimal integers of any size, but str() and int()
     # refuse integers over 4,300 digits by default.  The limit is lifted
-    # while main runs and restored on every exit.
+    # while main runs and restored on every exit.  The cyclic collector is
+    # paused the same way: all that main builds, the parser's cycles too,
+    # lives until it returns, so a collection during the call frees nothing
+    # and only promotes those cycles to where a later full collection costs
+    # milliseconds.
     limit = sys.get_int_max_str_digits()
+    collecting = gc.isenabled()
     sys.set_int_max_str_digits(0)
+    gc.disable()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -405,3 +412,5 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     finally:
         sys.set_int_max_str_digits(limit)
+        if collecting:
+            gc.enable()

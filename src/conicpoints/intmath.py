@@ -21,10 +21,11 @@ from .errors import DivisorLimitExceeded, _int_text
 # signed divisor and is refused past it before it builds the divisors or
 # the points, and a line pair's box under --check or oracle (two points a
 # row) is refused with exit code 5 past POINT_BUDGET points of any size.
-# At the edges, `solve --format json` on the target 3*5*...*61 took
-# 0.7-0.9 s of CPU time, 16 MB of output and 105 MB peak, `theorem1 3 0 0
-# 8192` (16 words a point) 1.2 s, 61 MB and 163 MB, and `solve --check
-# --bound 65535 1 0 -1 0 0 0` about 0.2 s and 46 MB.
+# At the edges, a whole `python -m conicpoints` process (Python 3.11.7,
+# 2-vCPU x86-64) of `solve --format json` on the target 3*5*...*61 took
+# 0.16-0.19 s of CPU, 16 MB of output and 89 MB peak, `theorem1 3 0 0 8192`
+# (16 words a point) 1.2 s, 61 MB and 163 MB, and `solve --check --bound
+# 65535 1 0 -1 0 0 0` 0.15-0.20 s and 46 MB.
 POINT_BUDGET = 1 << 18
 POINT_WORD = 512
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import random
@@ -642,16 +644,50 @@ def test_coefficients_past_the_int_str_digit_limit(capsys):
 
 
 def test_main_restores_the_int_str_digit_limit(capsys):
+    """main lifts the int/str limit and pauses the collector while it runs,
+    and puts back the caller's settings on every exit."""
     saved = sys.get_int_max_str_digits()
+    was_collecting = gc.isenabled()
     sys.set_int_max_str_digits(5000)
     try:
-        assert run_cli(capsys, "invariants", *GOLDEN_ARGS)[0] == 0
-        assert sys.get_int_max_str_digits() == 5000
-        with pytest.raises(SystemExit):
-            main(["invariants", "1.5", *GOLDEN_ARGS[1:]])
-        assert sys.get_int_max_str_digits() == 5000
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            for argv, code in [
+                (["invariants", *GOLDEN_ARGS], 0),
+                (["solve", "1", "0", "1", "0", "0", "-1"], 1),
+                (["oracle", "--bound", "3000000", *GOLDEN_ARGS], 5),
+                (["invariants", "1.5", *GOLDEN_ARGS[1:]], 2),  # SystemExit
+            ]:
+                assert run_cli(capsys, *argv)[0] == code
+                assert sys.get_int_max_str_digits() == 5000
+                assert gc.isenabled() is collecting
     finally:
         sys.set_int_max_str_digits(saved)
+        (gc.enable if was_collecting else gc.disable)()
+
+
+def test_main_starts_no_collection(capsys):
+    """Everything main makes lives until it returns, so a collection during
+    the call could free nothing; main pauses the collector instead.  The
+    conic is big_target's tau = 6720 one."""
+    argv = ["solve", "--format", "json", "1", "95", "2256", "19", "27", "963760431990"]
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        code = main(argv)
+    finally:
+        gc.callbacks.remove(hook)
+    out = capsys.readouterr().out
+    assert (code, started) == (0, [])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "95eb207ffc29d2d49df3733f81d14e1b9189b133fca24b5eafb1755d3ae1fac6"
+    )
 
 
 # ---------------------------------------------------------------------------
