@@ -18,8 +18,6 @@ All integers in JSON documents are decimal strings so arbitrary
 magnitudes survive any JSON parser.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
@@ -92,10 +90,6 @@ def _conic_from_args(args: argparse.Namespace) -> tuple[Conic, Invariants]:
 # ---------------------------------------------------------------------------
 # output documents
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 # json.dumps with indent runs the pure-Python encoder, which dominates the
 # run time for point sets in the thousands.  The points are written with one
 # % over a repeated template instead (decimal integers need no escaping, and
@@ -106,17 +100,19 @@ _POINTS_SLOT_JSON = json.dumps(_POINTS_SLOT)
 _POINT_JSON = '    [\n      "%d",\n      "%d"\n    ]'
 
 
-def _finite_json(inv: Invariants, points, **extra) -> str:
-    """The "finite" document, byte for byte as _dump writes it with the points
-    as [["x", "y"], ...]."""
-    head, tail = _dump(
-        {"kind": "finite", "invariants": _inv_block(inv), "points": _POINTS_SLOT, **extra}
-    ).split(_POINTS_SLOT_JSON)
+def _dump(doc: dict) -> str:
+    """``doc`` as json.dumps writes it, keys sorted and indented by two, and a
+    newline; a non-empty "points" list of (x, y) integer pairs is written as
+    [["x", "y"], ...]."""
+    points = doc.get("points")
     if not points:
-        return head + "[]" + tail
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    head, tail = json.dumps(
+        {**doc, "points": _POINTS_SLOT}, sort_keys=True, indent=2
+    ).split(_POINTS_SLOT_JSON)
     body = ",\n".join(repeat(_POINT_JSON, len(points))) % tuple(chain.from_iterable(points))
     # one copy of the body: chained + would make one per operand
-    return f"{head}[\n{body}\n  ]{tail}"
+    return f"{head}[\n{body}\n  ]{tail}\n"
 
 
 def _inv_block(inv: Invariants) -> dict:
@@ -159,7 +155,8 @@ def _write_finite(args, inv: Invariants, points, text: str = "", **extra) -> Non
     """Write a finite answer: the "finite" document with ``extra``'s keys,
     or the ``text`` head and one "x y" line per point."""
     if args.format == "json":
-        sys.stdout.write(_finite_json(inv, points, **extra))
+        doc = {"kind": "finite", "invariants": _inv_block(inv), "points": points, **extra}
+        sys.stdout.write(_dump(doc))
     else:
         sys.stdout.write(text + "".join(f"{p.x} {p.y}\n" for p in points))
 
@@ -173,26 +170,27 @@ class _Refused(Exception):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's search box and the solver's points in it, for --check and oracle
+# the oracle's scan of its search box, for --check and oracle
 
-def _oracle_box(args, conic: Conic, inv: Invariants, missing: str) -> SearchBound:
-    """The square --bound box, else the derived box.  Refused with exit 4
-    and ``missing`` for a degenerate conic without --bound, and with exit 5
-    for a box with more rows than the oracle's row budget or, for a line
-    pair, room for more points than its point budget."""
+def _oracle_scan(args, conic: Conic, inv: Invariants) -> tuple[SearchBound, list]:
+    """The square --bound box, else the derived box, and brute_force's points
+    in it.  Refused before any row is scanned: with exit 4 for a degenerate
+    conic without --bound, and with exit 5 for a box with more rows than the
+    oracle's row budget or, for a line pair, room for more points than its
+    point budget."""
     if args.bound is not None:
         bound = SearchBound(bx=args.bound, by=args.bound)
     elif inv.big_i != 0:
         bound = solution_bound(conic, inv)
     else:
-        raise _Refused(4, missing)
+        raise _Refused(4, "degenerate conic (invariant 0) has no finite search box; give --bound")
     rows = 2 * bound.by + 1
     if rows > ROW_BUDGET:
         what = f"{rows} rows, over the oracle row budget of {ROW_BUDGET}"
     elif inv.big_i == 0 and 2 * rows > POINT_BUDGET:
         what = f"room for {2 * rows} points, over the oracle point budget of {POINT_BUDGET}"
     else:
-        return bound
+        return bound, brute_force(conic, bound)
     raise _Refused(5, f"search box (bx={bound.bx}, by={bound.by}) has {what}")
 
 
@@ -222,8 +220,7 @@ def _solver_box_points(result, bound: SearchBound):
 
 
 def _run_check(args, conic: Conic, inv: Invariants, result) -> None:
-    bound = _oracle_box(args, conic, inv, "--check on a degenerate conic needs --bound")
-    oracle_points = brute_force(conic, bound)
+    bound, oracle_points = _oracle_scan(args, conic, inv)
     # compared point by point: a line pair's box may hold POINT_BUDGET points
     pairs = zip_longest(oracle_points, _solver_box_points(result, bound))
     if not all(starmap(eq, pairs)):
@@ -268,11 +265,8 @@ def _cmd_invariants(args: argparse.Namespace) -> None:
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
     conic, inv = _conic_from_args(args)
-    bound = _oracle_box(
-        args, conic, inv,
-        "degenerate conic (invariant 0) has no finite search box; give --bound",
-    )
-    _write_finite(args, inv, brute_force(conic, bound))
+    _, points = _oracle_scan(args, conic, inv)
+    _write_finite(args, inv, points)
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> None:

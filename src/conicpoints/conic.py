@@ -27,8 +27,6 @@ many divisor splittings of I; when I == 0 the conic degenerates into the two
 lines F1 = 0 and F2 = 0.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

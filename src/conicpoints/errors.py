@@ -4,8 +4,6 @@ Every error carries a short machine-readable ``code`` so the CLI can emit
 stable error documents without string-matching messages.
 """
 
-from __future__ import annotations
-
 
 def _int_text(n: int) -> str:
     """n in decimal below 2^14000 (4,215 digits), else "<b-bit integer>":

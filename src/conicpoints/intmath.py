@@ -4,8 +4,6 @@ Everything here works on unbounded Python ints; there is no floating point
 in any code path.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from itertools import accumulate, count, repeat
@@ -314,7 +312,8 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
     stage 1 as one ladder over the product of the prime powers up to B1,
     stage 2 on every prime up to _ECM_B2 * B1 in giant steps of _ECM_D.
     A stage that could take the work spent past ``budget`` is not started;
-    the factor is then None.  Each product modulo n is charged as
+    the factor is then None.  The last stage has no curve count: it runs
+    until the budget refuses a curve.  Each product modulo n is charged as
     _charge(n, products) gives.
     """
     sigma = 5
@@ -352,7 +351,6 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
                 g = math.gcd(_ecm_stage2(x, z, a24, n, b1, babies, table), n)
             if g != 1 and g != n:
                 return g, budget
-    return None, budget
 
 
 def _strip_small(n: int, factors: dict[int, int]) -> list[tuple[int, int]]:

@@ -9,8 +9,6 @@ taking a square root; it still visits every row and still takes every
 point from the quadratic formula.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

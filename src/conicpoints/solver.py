@@ -18,11 +18,10 @@ Degenerate case (I == 0): the conic is the union of the two lines F1 = 0 and
 F2 = 0, each an ordinary linear Diophantine equation.
 """
 
-from __future__ import annotations
-
 import math
+from collections.abc import Iterator
 from itertools import count, islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .conic import (
     Conic,

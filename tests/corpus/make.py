@@ -1,0 +1,205 @@
+"""Write tests/corpus/calls.jsonl: the command line's exact bytes on a fixed
+set of calls, so a change that means to keep them can prove it did.
+
+Each line is one call of ``conicpoints.cli.main`` with ``COLUMNS=80``
+(argparse wraps its help to the terminal): the argv, the exit code and the
+SHA-256 of stdout and of stderr, with the text itself when it is under
+1 KB.  tests/test_corpus.py replays every line in process.  From the root
+of the repository:
+
+    PYTHONPATH=src python tests/corpus/make.py            # regenerate
+    python tests/corpus/make.py --replay conicpoints      # replay through
+                                                          # a console script
+
+The calls come from fixed lists and seeds, so the file changes only when
+the bytes do.  Left out: the root --help, whose subcommand column Python
+3.13 lays out differently from 3.10-3.12; exit 3, which needs a tampered
+solver; and --input, whose messages name temporary paths.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+from conicpoints import power_of_two_conic, random_valid_conic
+from conicpoints.cli import main
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE / "calls.jsonl"
+OVERCAP = HERE.parents[1] / "bench" / "overcap.json"
+# stdout and stderr are kept in full below this many UTF-8 bytes
+TEXT_LIMIT = 1024
+
+GOLDEN = ["2", "-5", "2", "-1", "1", "-1"]
+LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
+PSI13 = 3317044064679887385961981
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) in process: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def entry(argv: list[str], code: int, out: str, err: str) -> dict:
+    doc = {"argv": argv, "exit": code}
+    for name, text in (("stdout", out), ("stderr", err)):
+        doc[name + "_sha256"] = sha256(text)
+        if len(text.encode()) < TEXT_LIMIT:
+            doc[name] = text
+    return doc
+
+
+def _seeded(seeds) -> list[list[str]]:
+    return [list(map(str, random_valid_conic(seed))) for seed in seeds]
+
+
+def calls() -> list[list[str]]:
+    """Every argv of the corpus, each once, in a fixed order."""
+    readme = [
+        ["solve", *GOLDEN],
+        ["solve", "3", "3", "-6", "-4", "1", "1"],
+        ["solve", "--format", "json", *GOLDEN],
+        ["invariants", *GOLDEN],
+        ["oracle", *GOLDEN, "--bound", "3"],
+        ["theorem1", "3", "0", "1", "4"],
+        ["sumform", "1", "1", "-13"],
+        ["sumform", "3", "2", "-6"],
+        ["solve", "--check", "--bound", "65535", *LINES],
+        ["solve", "--check", *map(str, power_of_two_conic(3, 0, 1, 46))],
+        ["theorem1", "3", "0", "0", "8193"],
+        ["theorem1", "2", "0", "0", "1000000"],
+    ]
+    helps = [
+        [command, "--help"] for command in ("solve", "invariants", "oracle", "theorem1", "sumform")
+    ]
+    solves = []
+    for conic in _seeded(range(120)):
+        solves += [
+            ["solve", *conic], ["solve", "--format", "json", *conic], ["solve", "--no-reduce", *conic]
+        ]
+    # --check and oracle; one draw in eight is a line pair
+    checks = []
+    for conic in _seeded(range(1000, 1040)):
+        checks += [
+            ["solve", "--check", *conic],
+            ["solve", "--check", "--bound", "40", *conic],
+            ["oracle", "--format", "json", *conic],
+            ["oracle", "--bound", "30", *conic],
+        ]
+    for conic in (LINES, ["3", "3", "-6", "-4", "1", "1"], ["2", "-3", "-2", "0", "0", "0"]):
+        for fmt in ("text", "json"):
+            checks += [
+                ["solve", "--check", "--format", fmt, *conic],
+                ["solve", "--check", "--bound", "8", "--format", fmt, *conic],
+                ["oracle", "--format", fmt, *conic],
+                ["oracle", "--bound", "8", "--format", fmt, *conic],
+            ]
+    families = [
+        ["theorem1", "--format", "json", "3", "0", "1", "4"],
+        ["theorem1", "-5", "2", "-3", "12"],
+        ["theorem1", "1", "0", "0", "1000000"],
+        ["theorem1", "--format", "json", "2", "0", "0", "10"],
+        ["theorem1", "3", "0", "0", "1"],
+        ["theorem1", "3", "0", "0", "131073"],
+        ["sumform", "--format", "json", "1", "1", "-13"],
+        ["sumform", "--format", "json", "3", "2", "-6"],
+        ["sumform", "5", "3", "0"],
+    ]
+    for target in (
+        PSI13,
+        48 * PSI13 + 1,
+        2 * 1200000707**3 + 1,
+        2**89 - 1,
+        PSI13**2,
+        2**61 - 1,
+        2**127 - 1,
+        (2**61 - 1) ** 2,
+        (2**61 - 1) ** 3,
+        39072923041 * 89193927323,
+        20000000000000000000030300000000000000000008073,  # two primes near 10^23: refused
+    ):
+        families.append(["sumform", "1", "1", str(-target)])
+    errors = [
+        [],  # 2: no subcommand
+        ["solve", "1", "2"],  # 2: not six coefficients
+        ["solve", "01", "-5", "2", "-1", "1", "-1"],  # 2: not canonical
+        ["solve", "--bound", "3", *GOLDEN],  # 2: --bound without --check
+        ["oracle", "--bound", "0", *GOLDEN],  # 2: not positive
+        ["theorem1", "3", "0", "1"],  # 2: missing n
+        ["sumform", "1", "1", "x"],  # 2: not an integer
+        ["solve", "1", "0", "1", "0", "0", "1"],  # 1: discriminant not a square
+        ["solve", "--format", "json", "1", "0", "1", "0", "0", "1"],
+        ["solve", "0", "1", "1", "0", "0", "0"],  # 1: alpha = 0
+        ["invariants", "--format", "json", "1", "1", "0", "0", "0", "0"],  # 1: gamma = 0
+        ["oracle", "--bound", "3000000", *GOLDEN],  # 5: row budget
+        ["solve", "--check", "--bound", "2097152", *GOLDEN],
+        ["oracle", "--bound", "65536", *LINES],  # 5: line-pair point budget
+    ]
+    with open(OVERCAP, encoding="utf-8") as fh:
+        overcap = [[item["command"], *item["args"]] for item in json.load(fh)["items"]]
+    console = [  # the one-off console-script checks of CI
+        ["sumform", "1", "1", "-3485067458016126149243"],
+        ["sumform", "1", "1", "-618970019642690137449562111"],
+        ["oracle", "--bound", "3", *LINES],
+        ["solve", "--check", *LINES],
+    ]
+    seen, ordered = set(), []
+    for argv in readme + helps + solves + checks + families + errors + overcap + console:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            ordered.append(argv)
+    return ordered
+
+
+def load() -> list[dict]:
+    with open(CORPUS, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def replay(command: list[str]) -> int:
+    """Run each entry's argv through ``command`` in a subprocess and report
+    the entries whose exit code or output hashes differ."""
+    env = {**os.environ, "COLUMNS": "80"}
+    docs = load()
+    bad = 0
+    for doc in docs:
+        proc = subprocess.run([*command, *doc["argv"]], capture_output=True, env=env)
+        got = [proc.returncode, *(hashlib.sha256(b).hexdigest() for b in (proc.stdout, proc.stderr))]
+        if got != [doc["exit"], doc["stdout_sha256"], doc["stderr_sha256"]]:
+            bad += 1
+            print("differs:", shlex.join(doc["argv"]), file=sys.stderr)
+    print(f"{bad} of {len(docs)} calls differ")
+    return 1 if bad else 0
+
+
+def write() -> None:
+    os.environ["COLUMNS"] = "80"
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        for argv in calls():
+            fh.write(json.dumps(entry(argv, *run(argv))) + "\n")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--replay", metavar="COMMAND", help="replay the calls through COMMAND instead of writing them"
+    )
+    args = parser.parse_args()
+    sys.exit(replay(shlex.split(args.replay)) if args.replay else write())

@@ -24,7 +24,7 @@ from conicpoints import (
     solve,
     validate,
 )
-from conicpoints.cli import _dump, _finite_json, _inv_block, main
+from conicpoints.cli import _dump, _inv_block, main
 from test_solver import _planted_target_conic
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
@@ -232,10 +232,17 @@ def test_line_pair_point_budget_edge(capsys):
     assert (code, out) == (0, "-2 -1\n0 -1\n1 0\n1 2\n")
 
 
+NEEDS_BOUND = "error: degenerate conic (invariant 0) has no finite search box; give --bound\n"
+
+
 def test_solve_check_lines_needs_bound(capsys):
-    code, _, err = run_cli(capsys, "solve", "--check", "1", "0", "-1", "0", "0", "0")
-    assert code == 4
-    assert "--bound" in err
+    # the answer is printed first, then the one exit-4 message oracle gives too
+    for fmt in ("text", "json"):
+        _, solved, _ = run_cli(capsys, "solve", "--format", fmt, "1", "0", "-1", "0", "0", "0")
+        code, out, err = run_cli(
+            capsys, "solve", "--check", "--format", fmt, "1", "0", "-1", "0", "0", "0"
+        )
+        assert (code, out, err) == (4, solved, NEEDS_BOUND)
 
 
 def test_solve_check_lines_with_bound(capsys):
@@ -391,10 +398,9 @@ def test_oracle_matches_solve(capsys):
 
 
 def test_oracle_degenerate_needs_bound(capsys):
-    code, out, err = run_cli(capsys, "oracle", "1", "0", "-1", "0", "0", "0")
-    assert code == 4
-    assert out == ""
-    assert "--bound" in err
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "oracle", "--format", fmt, "1", "0", "-1", "0", "0", "0")
+        assert (code, out, err) == (4, "", NEEDS_BOUND)
 
 
 def test_oracle_degenerate_with_bound(capsys):
@@ -817,18 +823,16 @@ def _writer_point_sets():
     ids=["none", "conic", "obstruction"],
 )
 def test_finite_json_is_json_dumps(name, extra):
-    """The template writer gives exactly the bytes of json.dumps on the whole
-    document, the form the README promises."""
+    """_dump's template for the points gives exactly the bytes of json.dumps on
+    the whole document with the points as strings, the form the README
+    promises."""
     points = _writer_point_sets()[name]
     _, inv = validate(2, -5, 2, -1, 1, -1)
-    doc = {
-        "kind": "finite",
-        "invariants": _inv_block(inv),
-        "points": [[str(x), str(y)] for x, y in points],
-        **extra,
-    }
-    assert _finite_json(inv, points, **extra) == _dump(doc)
-    assert _finite_json(inv, tuple(points), **extra) == _dump(doc)
+    doc = {"kind": "finite", "invariants": _inv_block(inv), **extra}
+    strings = {**doc, "points": [[str(x), str(y)] for x, y in points]}
+    expected = json.dumps(strings, sort_keys=True, indent=2) + "\n"
+    assert _dump({**doc, "points": points}) == expected
+    assert _dump({**doc, "points": tuple(points)}) == expected
 
 
 # ---------------------------------------------------------------------------
