@@ -4,21 +4,27 @@ set of calls, so a change that means to keep them can prove it did.
 Each line is one call of ``conicpoints.cli.main`` with ``COLUMNS=80``
 (argparse wraps its help to the terminal): the argv, the exit code and the
 SHA-256 of stdout and of stderr, with the text itself when it is under
-1 KB.  tests/test_corpus.py replays every line in process.  From the root
-of the repository:
+1 KB.  ``differs`` is the one comparison of a call with its line: the exit
+code, each stream's hash and, where the text is stored, a unified diff.
+tests/test_corpus.py replays every line in process through it, and
+``--replay`` runs every argv through a command in a subprocess, each with
+30 s to answer.  From the root of the repository:
 
     PYTHONPATH=src python tests/corpus/make.py            # regenerate
     python tests/corpus/make.py --replay conicpoints      # replay through
                                                           # a console script
 
-The calls come from fixed lists and seeds, so the file changes only when
-the bytes do.  Left out: the root --help, whose subcommand column Python
-3.13 lays out differently from 3.10-3.12; exit 3, which needs a tampered
-solver; and --input, whose messages name temporary paths.
+Either replay reports each differing call the same way; ``--replay``
+exits 1 if any differs or times out.  The calls come from fixed lists and
+seeds, so the file changes only when the bytes do.  Left out: the root
+--help, whose subcommand column Python 3.13 lays out differently from
+3.10-3.12; exit 3, which needs a tampered solver; and --input, whose
+messages name temporary paths.
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -36,34 +42,58 @@ CORPUS = HERE / "calls.jsonl"
 OVERCAP = HERE.parents[1] / "bench" / "overcap.json"
 # stdout and stderr are kept in full below this many UTF-8 bytes
 TEXT_LIMIT = 1024
+# seconds a --replay call may take: far above what any call needs, so a
+# hang is reported, not waited on
+TIMEOUT = 30
 
 GOLDEN = ["2", "-5", "2", "-1", "1", "-1"]
 LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
 PSI13 = 3317044064679887385961981
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """main(argv) in process: the exit code, stdout and stderr."""
+def run(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """main(argv) in process: the exit code and the UTF-8 bytes of stdout
+    and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # --help and usage errors
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def entry(argv: list[str], code: int, out: str, err: str) -> dict:
+def entry(argv: list[str], code: int, out: bytes, err: bytes) -> dict:
     doc = {"argv": argv, "exit": code}
-    for name, text in (("stdout", out), ("stderr", err)):
-        doc[name + "_sha256"] = sha256(text)
-        if len(text.encode()) < TEXT_LIMIT:
-            doc[name] = text
+    for name, data in (("stdout", out), ("stderr", err)):
+        doc[name + "_sha256"] = sha256(data)
+        if len(data) < TEXT_LIMIT:
+            doc[name] = data.decode()
     return doc
+
+
+def differs(doc: dict, code: int, out: bytes, err: bytes) -> str | None:
+    """What differs between a stored call and a replay of it, headed by its
+    argv, or None when the exit code and both streams' hashes match."""
+    found = [] if code == doc["exit"] else [f"exit {code}, stored {doc['exit']}"]
+    for name, data in (("stdout", out), ("stderr", err)):
+        if sha256(data) == doc[name + "_sha256"]:
+            continue
+        if name not in doc:
+            found.append(f"{name} differs from its stored hash")
+            continue
+        diff = difflib.unified_diff(
+            doc[name].splitlines(keepends=True),
+            data.decode(errors="replace").splitlines(keepends=True),
+            f"stored {name}",
+            f"replayed {name}",
+        )
+        found.append("".join(diff))
+    return "\n".join([f"differs: {shlex.join(doc['argv'])}", *found]) if found else None
 
 
 def _seeded(seeds) -> list[list[str]]:
@@ -73,17 +103,19 @@ def _seeded(seeds) -> list[list[str]]:
 def calls() -> list[list[str]]:
     """Every argv of the corpus, each once, in a fixed order."""
     readme = [
-        ["solve", *GOLDEN],
+        ["solve", *GOLDEN],  # the golden conic's four points
         ["solve", "3", "3", "-6", "-4", "1", "1"],
         ["solve", "--format", "json", *GOLDEN],
         ["invariants", *GOLDEN],
         ["oracle", *GOLDEN, "--bound", "3"],
-        ["theorem1", "3", "0", "1", "4"],
+        ["theorem1", "3", "0", "1", "4"],  # its points come from the divisor solver
         ["sumform", "1", "1", "-13"],
         ["sumform", "3", "2", "-6"],
         ["solve", "--check", "--bound", "65535", *LINES],
         ["solve", "--check", *map(str, power_of_two_conic(3, 0, 1, 46))],
         ["theorem1", "3", "0", "0", "8193"],
+        # beta odd, beta != +-1 and n >= 2 come before the size rule: a family
+        # that does not exist is invalid input (exit 1)
         ["theorem1", "2", "0", "0", "1000000"],
     ]
     helps = [
@@ -117,23 +149,27 @@ def calls() -> list[list[str]]:
         ["theorem1", "1", "0", "0", "1000000"],
         ["theorem1", "--format", "json", "2", "0", "0", "10"],
         ["theorem1", "3", "0", "0", "1"],
+        # the old count edge: its 262,144 points of 131,073 bits count 257
+        # words each, so it is refused at once (exit 1)
         ["theorem1", "3", "0", "0", "131073"],
         ["sumform", "--format", "json", "1", "1", "-13"],
         ["sumform", "--format", "json", "3", "2", "-6"],
         ["sumform", "5", "3", "0"],
     ]
     for target in (
-        PSI13,
-        48 * PSI13 + 1,
-        2 * 1200000707**3 + 1,
-        2**89 - 1,
+        PSI13,  # the proof shows it composite, then rho and ECM split it
+        48 * PSI13 + 1,  # its proof shows psi_13 composite and splits it
+        2 * 1200000707**3 + 1,  # its proof needs 1200000707 cubed in F
+        2**89 - 1,  # prime, above psi_13: proven by Pocklington's theorem
         PSI13**2,
         2**61 - 1,
         2**127 - 1,
-        (2**61 - 1) ** 2,
+        (2**61 - 1) ** 2,  # the root test reads it as a prime power, no search
         (2**61 - 1) ** 3,
-        39072923041 * 89193927323,
-        20000000000000000000030300000000000000000008073,  # two primes near 10^23: refused
+        39072923041 * 89193927323,  # rho runs out, ECM splits it
+        # two primes near 10^23: ECM does not split their product, so the
+        # factoring budget refuses it (exit 1)
+        20000000000000000000030300000000000000000008073,
     ):
         families.append(["sumform", "1", "1", str(-target)])
     errors = [
@@ -152,16 +188,15 @@ def calls() -> list[list[str]]:
         ["solve", "--check", "--bound", "2097152", *GOLDEN],
         ["oracle", "--bound", "65536", *LINES],  # 5: line-pair point budget
     ]
+    # digits20/4 among them: ECM splits off a 15-digit prime
     with open(OVERCAP, encoding="utf-8") as fh:
         overcap = [[item["command"], *item["args"]] for item in json.load(fh)["items"]]
-    console = [  # the one-off console-script checks of CI
-        ["sumform", "1", "1", "-3485067458016126149243"],
-        ["sumform", "1", "1", "-618970019642690137449562111"],
-        ["oracle", "--bound", "3", *LINES],
-        ["solve", "--check", *LINES],
-    ]
+    # x^2 = y^2 once more: the oracle scans a line pair's rows with its
+    # exact linear identity and prints both diagonals, and solve --check
+    # refuses it without --bound (exit 4: no finite box)
+    lines = [["oracle", "--bound", "3", *LINES], ["solve", "--check", *LINES]]
     seen, ordered = set(), []
-    for argv in readme + helps + solves + checks + families + errors + overcap + console:
+    for argv in readme + helps + solves + checks + families + errors + overcap + lines:
         if tuple(argv) not in seen:
             seen.add(tuple(argv))
             ordered.append(argv)
@@ -174,17 +209,23 @@ def load() -> list[dict]:
 
 
 def replay(command: list[str]) -> int:
-    """Run each entry's argv through ``command`` in a subprocess and report
-    the entries whose exit code or output hashes differ."""
+    """Run each entry's argv through ``command`` in a subprocess, report
+    each call that differs or gives no answer within TIMEOUT seconds, and
+    return 1 if any did."""
     env = {**os.environ, "COLUMNS": "80"}
     docs = load()
     bad = 0
     for doc in docs:
-        proc = subprocess.run([*command, *doc["argv"]], capture_output=True, env=env)
-        got = [proc.returncode, *(hashlib.sha256(b).hexdigest() for b in (proc.stdout, proc.stderr))]
-        if got != [doc["exit"], doc["stdout_sha256"], doc["stderr_sha256"]]:
+        try:
+            proc = subprocess.run(
+                [*command, *doc["argv"]], capture_output=True, env=env, timeout=TIMEOUT
+            )
+            report = differs(doc, proc.returncode, proc.stdout, proc.stderr)
+        except subprocess.TimeoutExpired:
+            report = f"differs: {shlex.join(doc['argv'])}\nno answer within {TIMEOUT} s"
+        if report is not None:
             bad += 1
-            print("differs:", shlex.join(doc["argv"]), file=sys.stderr)
+            print(report, file=sys.stderr)
     print(f"{bad} of {len(docs)} calls differ")
     return 1 if bad else 0
 

@@ -702,16 +702,21 @@ def test_main_starts_no_collection(capsys):
 GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
 
 
+def assert_same_text(got: str, expected: str) -> None:
+    """Fail at the first offset where got and expected differ: pytest's own
+    diff of two large documents takes minutes."""
+    if got != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+            min(len(got), len(expected)),
+        )
+        window = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"differs at offset {at}: {got[window]!r}, expected {expected[window]!r}")
+
+
 def assert_canonical_json(out: str) -> dict:
     doc = json.loads(out)
-    canonical = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out != canonical:
-        # report the first difference; a diff of two large documents takes minutes
-        at = next(
-            (i for i, (a, b) in enumerate(zip(out, canonical)) if a != b),
-            min(len(out), len(canonical)),
-        )
-        pytest.fail(f"not canonical at offset {at}: {out[max(at - 30, 0):at + 30]!r}")
+    assert_same_text(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return doc
 
 
@@ -831,8 +836,8 @@ def test_finite_json_is_json_dumps(name, extra):
     doc = {"kind": "finite", "invariants": _inv_block(inv), **extra}
     strings = {**doc, "points": [[str(x), str(y)] for x, y in points]}
     expected = json.dumps(strings, sort_keys=True, indent=2) + "\n"
-    assert _dump({**doc, "points": points}) == expected
-    assert _dump({**doc, "points": tuple(points)}) == expected
+    assert_same_text(_dump({**doc, "points": points}), expected)
+    assert_same_text(_dump({**doc, "points": tuple(points)}), expected)
 
 
 # ---------------------------------------------------------------------------
