@@ -28,6 +28,7 @@ from itertools import chain, groupby, repeat, starmap, zip_longest
 from operator import eq
 
 from .conic import Conic, Invariants, invariants_of, validate
+from .errors import _int_text
 from .intmath import POINT_BUDGET
 from .oracle import ROW_BUDGET, SearchBound, brute_force, solution_bound
 from .solver import (
@@ -186,12 +187,13 @@ def _oracle_scan(args, conic: Conic, inv: Invariants) -> tuple[SearchBound, list
         raise _Refused(4, "degenerate conic (invariant 0) has no finite search box; give --bound")
     rows = 2 * bound.by + 1
     if rows > ROW_BUDGET:
-        what = f"{rows} rows, over the oracle row budget of {ROW_BUDGET}"
+        what = f"{_int_text(rows)} rows, over the oracle row budget of {ROW_BUDGET}"
     elif inv.big_i == 0 and 2 * rows > POINT_BUDGET:
         what = f"room for {2 * rows} points, over the oracle point budget of {POINT_BUDGET}"
     else:
         return bound, brute_force(conic, bound)
-    raise _Refused(5, f"search box (bx={bound.bx}, by={bound.by}) has {what}")
+    bx, by = map(_int_text, bound)
+    raise _Refused(5, f"search box (bx={bx}, by={by}) has {what}")
 
 
 # Points listed per side when solver and oracle disagree.

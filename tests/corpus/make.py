@@ -14,12 +14,12 @@ tests/test_corpus.py replays every line in process through it, and
     python tests/corpus/make.py --replay conicpoints      # replay through
                                                           # a console script
 
-Either replay reports each differing call the same way; ``--replay``
-exits 1 if any differs or times out.  The calls come from fixed lists and
-seeds, so the file changes only when the bytes do.  Left out: the root
---help, whose subcommand column Python 3.13 lays out differently from
-3.10-3.12; exit 3, which needs a tampered solver; and --input, whose
-messages name temporary paths.
+Either replay reports every differing call the same way, then their
+count; ``--replay`` exits 1 if any differs or times out.  The calls come
+from fixed lists and seeds, so the file changes only when the bytes do.
+Left out: the root --help, whose subcommand column Python 3.13 lays out
+differently from 3.10-3.12; exit 3, which needs a tampered solver; and
+--input on a file that exists, whose messages name a temporary path.
 """
 
 import argparse
@@ -103,10 +103,24 @@ def _seeded(seeds) -> list[list[str]]:
 def calls() -> list[list[str]]:
     """Every argv of the corpus, each once, in a fixed order."""
     readme = [
-        ["solve", *GOLDEN],  # the golden conic's four points
+        ["solve", *GOLDEN],  # the golden conic's four points, sorted
         ["solve", "3", "3", "-6", "-4", "1", "1"],
         ["solve", "--format", "json", *GOLDEN],
         ["invariants", *GOLDEN],
+        ["invariants", "--format", "json", *GOLDEN],
+        # the same four points: by the reduced target 10, the unreduced 80,
+        # the oracle's derived box, and --check in that box and in a box
+        # too small to hold (-2,-1) and (1,2)
+        ["solve", "--no-reduce", *GOLDEN],
+        ["oracle", *GOLDEN],
+        ["solve", "--check", *GOLDEN],
+        ["solve", "--check", "--bound", "1", *GOLDEN],
+        # a line pair's two families: the invariant is 0
+        ["solve", *LINES],
+        ["solve", "--format", "json", *LINES],
+        # (3x + 3y + 1)(3x - 3y + 2): neither line holds a lattice point
+        ["solve", "--format", "json", "9", "0", "-9", "9", "3", "2"],
+        ["solve", "--check", "--bound", "8", *LINES],
         ["oracle", *GOLDEN, "--bound", "3"],
         ["theorem1", "3", "0", "1", "4"],  # its points come from the divisor solver
         ["sumform", "1", "1", "-13"],
@@ -155,6 +169,15 @@ def calls() -> list[list[str]]:
         ["sumform", "--format", "json", "1", "1", "-13"],
         ["sumform", "--format", "json", "3", "2", "-6"],
         ["sumform", "5", "3", "0"],
+        # the mod-4 obstruction: no points, and the reason on stderr or in
+        # the document's "obstruction"
+        ["sumform", "1", "1", "-2"],
+        ["sumform", "--format", "json", "1", "1", "-2"],
+        # 10^30: arbitrary precision end to end
+        ["invariants", "--format", "json", "1", "0", "-1", "0", "0", str(10**30)],
+        # the theorem1 3 0 1 46 conic by its coefficients: --check prints
+        # these points, then refuses its box of about 1.4e14 rows (exit 5)
+        ["solve", *map(str, power_of_two_conic(3, 0, 1, 46))],
     ]
     for target in (
         PSI13,  # the proof shows it composite, then rho and ECM split it
@@ -175,18 +198,39 @@ def calls() -> list[list[str]]:
     errors = [
         [],  # 2: no subcommand
         ["solve", "1", "2"],  # 2: not six coefficients
+        ["solve", "1", "2", "3"],
         ["solve", "01", "-5", "2", "-1", "1", "-1"],  # 2: not canonical
+        ["solve", "007", "0", "-1", "0", "0", "0"],
+        ["solve", "-0", "0", "-1", "0", "0", "0"],
+        ["solve", "--input", "/no/such/file.json"],  # 2: no such file
         ["solve", "--bound", "3", *GOLDEN],  # 2: --bound without --check
         ["oracle", "--bound", "0", *GOLDEN],  # 2: not positive
+        ["oracle", "--bound", "-3", *GOLDEN],
+        ["solve", "--check", "--bound", "0", *GOLDEN],
+        ["solve", "--check", "--bound", "-3", *GOLDEN],
         ["theorem1", "3", "0", "1"],  # 2: missing n
         ["sumform", "1", "1", "x"],  # 2: not an integer
         ["solve", "1", "0", "1", "0", "0", "1"],  # 1: discriminant not a square
+        ["solve", "1", "0", "1", "0", "0", "-1"],
         ["solve", "--format", "json", "1", "0", "1", "0", "0", "1"],
         ["solve", "0", "1", "1", "0", "0", "0"],  # 1: alpha = 0
+        ["solve", "--format", "json", "0", "1", "1", "0", "0", "-1"],
         ["invariants", "--format", "json", "1", "1", "0", "0", "0", "0"],  # 1: gamma = 0
+        ["theorem1", "2", "0", "1", "4"],  # 1: beta must be odd
+        # 1 in both formats: beta odd and beta != +-1 come before the point
+        # budget at any n
+        *(
+            ["theorem1", "--format", fmt, beta, "0", "0", "1000000"]
+            for beta in ("2", "1")
+            for fmt in ("text", "json")
+        ),
+        ["sumform", "1", "1", "0"],  # 1: j = 0 is a line pair
         ["oracle", "--bound", "3000000", *GOLDEN],  # 5: row budget
         ["solve", "--check", "--bound", "2097152", *GOLDEN],
         ["oracle", "--bound", "65536", *LINES],  # 5: line-pair point budget
+        # 5: a box past 2^14000 is named by its size, so stderr stays short
+        ["oracle", "--bound", str(2**14000), *GOLDEN],
+        ["solve", "--check", "--bound", str(2**14000), *LINES],
     ]
     # digits20/4 among them: ECM splits off a 15-digit prime
     with open(OVERCAP, encoding="utf-8") as fh:

@@ -2,6 +2,8 @@
 the exit code and the stdout and stderr bytes it gave when the file was
 written (see tests/corpus/make.py)."""
 
+import pytest
+
 from corpus.make import calls, differs, load, run
 
 
@@ -11,6 +13,6 @@ def test_corpus_replays_byte_for_byte(monkeypatch):
     assert len(docs) > 500
     # an edit to calls() that was never regenerated
     assert [doc["argv"] for doc in docs] == calls()
-    for doc in docs:
-        report = differs(doc, *run(doc["argv"]))
-        assert report is None, report
+    reports = [report for doc in docs if (report := differs(doc, *run(doc["argv"])))]
+    if reports:
+        pytest.fail("\n".join([*reports, f"{len(reports)} of {len(docs)} calls differ"]))
