@@ -199,7 +199,8 @@ def calls() -> list[list[str]]:
         [],  # 2: no subcommand
         ["solve", "1", "2"],  # 2: not six coefficients
         ["solve", "1", "2", "3"],
-        ["solve", "01", "-5", "2", "-1", "1", "-1"],  # 2: not canonical
+        # 2: not canonical: leading zeros, and minus zero
+        ["solve", "01", "-5", "2", "-1", "1", "-1"],
         ["solve", "007", "0", "-1", "0", "0", "0"],
         ["solve", "-0", "0", "-1", "0", "0", "0"],
         ["solve", "--input", "/no/such/file.json"],  # 2: no such file

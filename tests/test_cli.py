@@ -560,41 +560,12 @@ def test_input_file_numeric_json_rejected(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_wrong_coefficient_count(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "1", "2", "3"])
-    assert exc.value.code == 2
-
-
-def test_leading_zero_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "007", "0", "-1", "0", "0", "0"])
-    assert exc.value.code == 2
-
-
-def test_minus_zero_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "-0", "0", "-1", "0", "0", "0"])
-    assert exc.value.code == 2
-
-
 def test_coefficients_and_input_conflict(tmp_path, capsys):
     path = tmp_path / "conic.json"
     path.write_text("{}")
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--input", str(path), "1", "2", "3", "4", "5", "6"])
     assert exc.value.code == 2
-
-
-def test_large_coefficients_survive(capsys):
-    # 10^30 scale coefficients: arbitrary precision end to end
-    big = str(10**30)
-    code, out, _ = run_cli(
-        capsys, "invariants", "--format", "json", "1", "0", "-1", "0", "0", big
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["invariants"]["delta_q"] == str(-4 * 10**30)
 
 
 def test_coefficients_past_the_int_str_digit_limit(capsys):
