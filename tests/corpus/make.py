@@ -45,6 +45,8 @@ TEXT_LIMIT = 1024
 # seconds a --replay call may take: far above what any call needs, so a
 # hang is reported, not waited on
 TIMEOUT = 30
+# a report names a longer argument by its size
+ARG_LIMIT = 80
 
 GOLDEN = ["2", "-5", "2", "-1", "1", "-1"]
 LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
@@ -76,6 +78,18 @@ def entry(argv: list[str], code: int, out: bytes, err: bytes) -> dict:
     return doc
 
 
+def argv_text(argv: list[str]) -> str:
+    """argv as one shell line, each argument over ARG_LIMIT characters named
+    by its size: a --bound of 2^14000 reads "<4215-digit integer>", not 4 KB
+    of digits."""
+    return " ".join(
+        shlex.quote(arg) if len(arg) <= ARG_LIMIT
+        else f"<{len(arg)}-digit integer>" if arg.isdigit()
+        else f"<{len(arg)}-character argument>"
+        for arg in argv
+    )
+
+
 def differs(doc: dict, code: int, out: bytes, err: bytes) -> str | None:
     """What differs between a stored call and a replay of it, headed by its
     argv, or None when the exit code and both streams' hashes match."""
@@ -93,7 +107,7 @@ def differs(doc: dict, code: int, out: bytes, err: bytes) -> str | None:
             f"replayed {name}",
         )
         found.append("".join(diff))
-    return "\n".join([f"differs: {shlex.join(doc['argv'])}", *found]) if found else None
+    return "\n".join([f"differs: {argv_text(doc['argv'])}", *found]) if found else None
 
 
 def _seeded(seeds) -> list[list[str]]:
@@ -267,7 +281,7 @@ def replay(command: list[str]) -> int:
             )
             report = differs(doc, proc.returncode, proc.stdout, proc.stderr)
         except subprocess.TimeoutExpired:
-            report = f"differs: {shlex.join(doc['argv'])}\nno answer within {TIMEOUT} s"
+            report = f"differs: {argv_text(doc['argv'])}\nno answer within {TIMEOUT} s"
         if report is not None:
             bad += 1
             print(report, file=sys.stderr)
