@@ -1,5 +1,6 @@
 """Every `$ conicpoints ...` example in README.md prints what the README
-shows, up to a `...` line that elides the middle of the output."""
+shows, up to a `...` line that elides the middle of the output, and the
+Library example prints what its comments show."""
 
 from __future__ import annotations
 
@@ -12,11 +13,12 @@ import pytest
 from conicpoints.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = r"^```{}\n(.*?)^```$"
 
 
 def _examples() -> list[tuple[list[str], str]]:
     examples = []
-    for block in re.findall(r"^```\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S):
+    for block in re.findall(BLOCKS.format(""), README.read_text(encoding="utf-8"), re.M | re.S):
         for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
             line, _, shown = command.partition("\n")
             prog, *argv = shlex.split(line)
@@ -43,3 +45,13 @@ def test_readme_example(capsys, argv, shown):
         assert len(printed) > len(head) + len(tail[0])
     else:
         assert printed == shown
+
+
+def test_readme_library_example(capsys):
+    """README's python block runs, and each `print(...)  # <text>` line in
+    it prints exactly <text>."""
+    (source,) = re.findall(BLOCKS.format("python"), README.read_text(encoding="utf-8"), re.M | re.S)
+    shown = re.findall(r"^print\(.*\) +# (.*)$", source, re.M)
+    assert shown
+    exec(compile(source, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
