@@ -13,12 +13,16 @@ import pytest
 from conicpoints.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = r"^```{}\n(.*?)^```$"
+
+
+def _blocks(tag: str) -> list[str]:
+    """The bodies of README's fenced blocks opened by ```<tag>."""
+    return re.findall(rf"^```{tag}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
 def _examples() -> list[tuple[list[str], str]]:
     examples = []
-    for block in re.findall(BLOCKS.format(""), README.read_text(encoding="utf-8"), re.M | re.S):
+    for block in _blocks(""):
         for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
             line, _, shown = command.partition("\n")
             prog, *argv = shlex.split(line)
@@ -50,7 +54,7 @@ def test_readme_example(capsys, argv, shown):
 def test_readme_library_example(capsys):
     """README's python block runs, and each `print(...)  # <text>` line in
     it prints exactly <text>."""
-    (source,) = re.findall(BLOCKS.format("python"), README.read_text(encoding="utf-8"), re.M | re.S)
+    (source,) = _blocks("python")
     shown = re.findall(r"^print\(.*\) +# (.*)$", source, re.M)
     assert shown
     exec(compile(source, str(README), "exec"), {})
