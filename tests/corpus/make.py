@@ -15,7 +15,9 @@ tests/test_corpus.py replays every line in process through it, and
                                                           # a console script
 
 Either replay reports every differing call the same way, then their
-count; ``--replay`` exits 1 if any differs or times out.  The calls come
+count; ``--replay`` exits 1 if any differs or times out.  In process, a call
+that raises is one more differing call, and regenerating names it and
+leaves the file as it was.  The calls come
 from fixed lists and seeds, so the file changes only when the bytes do.
 Left out: the root --help, whose subcommand column Python 3.13 lays out
 differently from 3.10-3.12; exit 3, which needs a tampered solver; and
@@ -32,6 +34,7 @@ import os
 import shlex
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 from conicpoints import power_of_two_conic, random_valid_conic
@@ -53,15 +56,20 @@ LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
 PSI13 = 3317044064679887385961981
 
 
-def run(argv: list[str]) -> tuple[int, bytes, bytes]:
+def run(argv: list[str]) -> tuple[int | str, bytes, bytes]:
     """main(argv) in process: the exit code and the UTF-8 bytes of stdout
-    and stderr."""
+    and stderr.  A call that raises gives "raised <exception name>" for its
+    exit code and its traceback on stderr, so one crash is reported as that
+    call's outcome and the other calls still run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # --help and usage errors
             code = exc.code
+        except Exception as exc:
+            traceback.print_exc()
+            code = f"raised {type(exc).__name__}"
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
@@ -69,7 +77,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def entry(argv: list[str], code: int, out: bytes, err: bytes) -> dict:
+def entry(argv: list[str], code: int | str, out: bytes, err: bytes) -> dict:
     doc = {"argv": argv, "exit": code}
     for name, data in (("stdout", out), ("stderr", err)):
         doc[name + "_sha256"] = sha256(data)
@@ -90,7 +98,7 @@ def argv_text(argv: list[str]) -> str:
     )
 
 
-def differs(doc: dict, code: int, out: bytes, err: bytes) -> str | None:
+def differs(doc: dict, code: int | str, out: bytes, err: bytes) -> str | None:
     """What differs between a stored call and a replay of it, headed by its
     argv, or None when the exit code and both streams' hashes match."""
     found = [] if code == doc["exit"] else [f"exit {code}, stored {doc['exit']}"]
@@ -289,11 +297,23 @@ def replay(command: list[str]) -> int:
     return 1 if bad else 0
 
 
-def write() -> None:
+def write() -> int:
+    """Run every call, then write the file.  If any call raised, name each
+    with its traceback, leave the file as it was and return 1."""
     os.environ["COLUMNS"] = "80"
+    docs, raised = [], 0
+    for argv in calls():
+        code, out, err = run(argv)
+        if isinstance(code, str):
+            raised += 1
+            print(f"{code}: {argv_text(argv)}\n{err.decode()}", file=sys.stderr)
+        docs.append(entry(argv, code, out, err))
+    if raised:
+        print(f"{raised} of {len(docs)} calls raised; {CORPUS} is unchanged", file=sys.stderr)
+        return 1
     with open(CORPUS, "w", encoding="utf-8") as fh:
-        for argv in calls():
-            fh.write(json.dumps(entry(argv, *run(argv))) + "\n")
+        fh.writelines(json.dumps(doc) + "\n" for doc in docs)
+    return 0
 
 
 if __name__ == "__main__":
