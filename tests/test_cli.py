@@ -42,73 +42,6 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 # solve
 
-def test_solve_json_golden(capsys):
-    code, out, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN_ARGS)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "finite"
-    assert doc["points"] == [["-2", "-1"], ["0", "-1"], ["1", "0"], ["1", "2"]]
-    assert doc["invariants"] == {"k": "3", "i": "80", "delta_q": "9", "m": "-1"}
-
-
-def test_solve_json_byte_stable(capsys):
-    code1, out1, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN_ARGS)
-    code2, out2, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN_ARGS)
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_solve_json_roundtrip(capsys):
-    _, out, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN_ARGS)
-    doc = json.loads(out)
-    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
-
-
-def test_solve_lines_text(capsys):
-    code, out, _ = run_cli(capsys, "solve", "1", "0", "-1", "0", "0", "0")
-    assert code == 0
-    assert out == (
-        "4*x + -4*y = 0 solvable: base=(0,0) dir=(1,1)\n"
-        "4*x + 4*y = 0 solvable: base=(0,0) dir=(1,-1)\n"
-    )
-
-
-def test_solve_lines_json_unsolvable(capsys):
-    code, out, _ = run_cli(
-        capsys, "solve", "--format", "json", "9", "0", "-9", "9", "3", "2"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "lines"
-    assert [line["solvable"] for line in doc["lines"]] == [False, False]
-    assert all("base" not in line for line in doc["lines"])
-    assert all(len(line["dir"]) == 2 for line in doc["lines"])
-    assert doc["invariants"]["i"] == "0"
-
-
-def test_solve_invalid_conic(capsys):
-    code, out, err = run_cli(capsys, "solve", "1", "0", "1", "0", "0", "-1")
-    assert code == 1
-    assert out == ""
-    assert "not-factorable" in err
-
-
-def test_solve_invalid_conic_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "solve", "--format", "json", "0", "1", "1", "0", "0", "-1"
-    )
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["kind"] == "invalid"
-    assert doc["error"]["code"] == "degenerate-alpha"
-
-
-def test_solve_no_reduce_same_output(capsys):
-    _, with_reduce, _ = run_cli(capsys, "solve", *GOLDEN_ARGS)
-    _, without, _ = run_cli(capsys, "solve", "--no-reduce", *GOLDEN_ARGS)
-    assert with_reduce == without
-
-
 def test_solve_check_passes(capsys):
     code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
     assert code == 0
