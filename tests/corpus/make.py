@@ -261,7 +261,13 @@ def calls() -> list[list[str]]:
     # x^2 = y^2 once more: the oracle scans a line pair's rows with its
     # exact linear identity and prints both diagonals, and solve --check
     # refuses it without --bound (exit 4: no finite box)
-    lines = [["oracle", "--bound", "3", *LINES], ["solve", "--check", *LINES]]
+    lines = [
+        ["oracle", "--bound", "3", *LINES],
+        ["solve", "--check", *LINES],
+        # solve --check --format text prints this answer first, then refuses
+        # with the one exit-4 message oracle gives too
+        ["solve", "--format", "text", *LINES],
+    ]
     seen, ordered = set(), []
     for argv in readme + helps + solves + checks + families + errors + overcap + lines:
         if tuple(argv) not in seen:

@@ -42,15 +42,6 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 # solve
 
-def test_solve_check_passes(capsys):
-    code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
-    assert code == 0
-    assert err == ""
-    # (-2,-1) and (1,2) lie outside the box, so only two points are compared
-    code, out, err = run_cli(capsys, "solve", "--check", "--bound", "1", *GOLDEN_ARGS)
-    assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
-
-
 def test_solve_check_detects_fault(capsys, monkeypatch):
     import conicpoints.cli as cli_mod
 
@@ -78,19 +69,6 @@ def test_solve_check_mismatch_lists_are_capped(capsys, monkeypatch):
         "only the solver found 25: (-12,9) (-11,9) (-10,9) (-9,9) (-8,9) and 20 more",
         "only the oracle found 4: (-2,-1) (0,-1) (1,0) (1,2)",
     ]
-
-
-def test_solve_check_refuses_box_over_row_budget(capsys):
-    # the theorem1 3 0 1 46 conic: its derived box has about 1.4e14 rows
-    conic_args = ["1", "3", "2", "0", "1", "-17592186044417"]
-    _, points, _ = run_cli(capsys, "solve", *conic_args)
-    code, out, err = run_cli(capsys, "solve", "--check", *conic_args)
-    assert code == 5
-    assert out == points
-    assert err == (
-        "error: search box (bx=105553116266499, by=70368744177666) has "
-        "140737488355333 rows, over the oracle row budget of 4194304\n"
-    )
 
 
 def test_oracle_row_budget_edge(capsys):
@@ -159,24 +137,6 @@ def test_line_pair_point_budget_edge(capsys):
 
 
 NEEDS_BOUND = "error: degenerate conic (invariant 0) has no finite search box; give --bound\n"
-
-
-def test_solve_check_lines_needs_bound(capsys):
-    # the answer is printed first, then the one exit-4 message oracle gives too
-    for fmt in ("text", "json"):
-        _, solved, _ = run_cli(capsys, "solve", "--format", fmt, "1", "0", "-1", "0", "0", "0")
-        code, out, err = run_cli(
-            capsys, "solve", "--check", "--format", fmt, "1", "0", "-1", "0", "0", "0"
-        )
-        assert (code, out, err) == (4, solved, NEEDS_BOUND)
-
-
-def test_solve_check_lines_with_bound(capsys):
-    code, _, err = run_cli(
-        capsys, "solve", "--check", "--bound", "8", "1", "0", "-1", "0", "0", "0"
-    )
-    assert code == 0
-    assert err == ""
 
 
 def _seeded_line_pairs(count):
