@@ -40,7 +40,7 @@ def run_cli(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve --check and the oracle
 
 def test_solve_check_detects_fault(capsys, monkeypatch):
     import conicpoints.cli as cli_mod
@@ -134,9 +134,6 @@ def test_line_pair_point_budget_edge(capsys):
     # a finite conic is not held to the point budget
     code, out, _ = run_cli(capsys, "oracle", "--bound", str(by + 1), *GOLDEN_ARGS)
     assert (code, out) == (0, "-2 -1\n0 -1\n1 0\n1 2\n")
-
-
-NEEDS_BOUND = "error: degenerate conic (invariant 0) has no finite search box; give --bound\n"
 
 
 def _seeded_line_pairs(count):
@@ -244,44 +241,6 @@ def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatc
         "only the solver found 0",
         "only the oracle found 1: (3,4)",
     ]
-
-
-# ---------------------------------------------------------------------------
-# invariants / oracle
-
-def test_invariants_text(capsys):
-    code, out, _ = run_cli(capsys, "invariants", *GOLDEN_ARGS)
-    assert code == 0
-    assert out == "k = 3\ni = 80\ndelta_q = 9\nm = -1\n"
-
-
-def test_invariants_json(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--format", "json", *GOLDEN_ARGS)
-    assert code == 0
-    assert json.loads(out) == {
-        "invariants": {"k": "3", "i": "80", "delta_q": "9", "m": "-1"}
-    }
-
-
-def test_oracle_matches_solve(capsys):
-    _, solved, _ = run_cli(capsys, "solve", *GOLDEN_ARGS)
-    code, searched, _ = run_cli(capsys, "oracle", *GOLDEN_ARGS)
-    assert code == 0
-    assert searched == solved
-
-
-def test_oracle_degenerate_needs_bound(capsys):
-    for fmt in ("text", "json"):
-        code, out, err = run_cli(capsys, "oracle", "--format", fmt, "1", "0", "-1", "0", "0", "0")
-        assert (code, out, err) == (4, "", NEEDS_BOUND)
-
-
-def test_oracle_degenerate_with_bound(capsys):
-    code, out, _ = run_cli(
-        capsys, "oracle", "--bound", "3", "1", "0", "-1", "0", "0", "0"
-    )
-    assert code == 0
-    assert len(out.splitlines()) == 13
 
 
 # ---------------------------------------------------------------------------
