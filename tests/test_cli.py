@@ -246,47 +246,6 @@ def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatc
 # ---------------------------------------------------------------------------
 # theorem1 / sumform
 
-def test_theorem1_text(capsys):
-    code, out, _ = run_cli(capsys, "theorem1", "3", "0", "1", "4")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "conic: 1 3 2 0 1 -5"
-    assert lines[1:] == ["-10 5", "-5 2", "-5 5", "-1 -1", "-1 2", "4 -1"]
-
-
-def test_theorem1_json(capsys):
-    code, out, _ = run_cli(capsys, "theorem1", "--format", "json", "3", "0", "1", "4")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "finite"
-    assert doc["conic"]["j"] == "-5"
-    assert doc["invariants"]["i"] == "16"
-    assert len(doc["points"]) == 6
-
-
-def test_theorem1_invalid(capsys):
-    code, _, err = run_cli(capsys, "theorem1", "2", "0", "1", "4")
-    assert code == 1
-    assert "odd" in err
-
-
-@pytest.mark.parametrize(
-    "beta, message", [("2", "beta must be odd"), ("1", "beta = +-1 makes gamma zero")]
-)
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_theorem1_preconditions_come_before_the_point_budget(capsys, beta, message, fmt):
-    """A family that does not exist is invalid input at any n, not a
-    refusal by size."""
-    argv = ["theorem1", "--format", fmt, beta, "0", "0", "1000000"]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    if fmt == "json":
-        assert json.loads(out)["error"] == {"code": "invalid-input", "message": message}
-        assert err == ""
-    else:
-        assert (out, err) == ("", f"error: invalid-input: {message}\n")
-
-
 @pytest.mark.parametrize("n", ["131074", "1000000", "8193"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_theorem1_point_budget(capsys, n, fmt):
