@@ -262,19 +262,6 @@ def test_theorem1_point_budget(capsys, n, fmt):
     assert elapsed < 0.1
 
 
-def test_sumform_prime(capsys):
-    code, out, _ = run_cli(capsys, "sumform", "1", "1", "-13")
-    assert code == 0
-    assert out == "-7 -6\n-7 6\n7 -6\n7 6\n"
-
-
-def test_sumform_prime_whose_proof_splits_psi13(capsys):
-    # 48*psi_13 + 1 is prime; its proof needs psi_13's two primes in F
-    code, out, _ = run_cli(capsys, "sumform", "1", "1", "-159218115104634594526175089")
-    assert code == 0
-    assert len(out.splitlines()) == 4
-
-
 def test_sumform_prime_whose_proof_needs_a_prime_power(capsys):
     # 2*q^3 + 1 with q = 1200000707 is prime; its proof needs q^3 in F
     start = time.process_time()
@@ -282,20 +269,6 @@ def test_sumform_prime_whose_proof_needs_a_prime_power(capsys):
     assert time.process_time() - start < 1
     assert code == 0
     assert len(out.splitlines()) == 4
-
-
-def test_sumform_obstruction_json(capsys):
-    code, out, _ = run_cli(capsys, "sumform", "--format", "json", "1", "1", "-2")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["points"] == []
-    assert doc["obstruction"] == "mod4-obstruction"
-
-
-def test_sumform_degenerate_rejected(capsys):
-    code, _, err = run_cli(capsys, "sumform", "1", "1", "0")
-    assert code == 1
-    assert "line pair" in err
 
 
 # ---------------------------------------------------------------------------
