@@ -42,10 +42,9 @@ def test_a_call_that_raises_is_reported_and_the_replay_goes_on(monkeypatch):
     _crash_on(monkeypatch, ["solve", *GOLDEN])
     docs = load()[:30]  # the crashing call is the first
     reports = [report for doc in docs if (report := differs(doc, *run(doc["argv"])))]
-    assert len(reports) == 1
-    head, stderr_diff = reports[0].split("\n", 2)[1:]
-    assert head == "exit raised OverflowError, stored 0"
-    assert stderr_diff.endswith("+OverflowError: int too large to convert to float\n")
+    (report,) = reports
+    assert report.startswith("differs: solve 2 -5 2 -1 1 -1\nexit raised OverflowError, stored 0\n")
+    assert report.endswith("+OverflowError: int too large to convert to float\n")
 
 
 def test_write_leaves_the_corpus_untouched_when_a_call_raises(monkeypatch, tmp_path, capsys):
