@@ -16,12 +16,10 @@ from conicpoints import (
     LatticePoint,
     LinePair,
     MOD4_OBSTRUCTION,
-    brute_force,
     invariants_of,
     power_of_two_conic,
     power_of_two_points,
     random_valid_conic,
-    SearchBound,
     solve,
     solve_difference_of_squares,
     validate,
@@ -37,31 +35,7 @@ GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
-# unreduced forms
-
-def test_factor_forms_golden_splittings():
-    conic, inv = validate(*GOLDEN)
-    f1, f2 = factor_forms(conic, inv)
-    # (1,0) turns the unreduced forms into F1 = 8, F2 = 10, and (1,2) into
-    # F1 = -40, F2 = -2: both splittings of I = 80
-    assert (f1.evaluate(1, 0), f2.evaluate(1, 0)) == (8, 10)
-    assert (f1.evaluate(1, 2), f2.evaluate(1, 2)) == (-40, -2)
-
-
-# ---------------------------------------------------------------------------
 # solve_finite / solve
-
-def test_solve_finite_golden():
-    conic, inv = validate(*GOLDEN)
-    assert solve_finite(conic, inv) == GOLDEN_POINTS
-    assert solve_finite(conic, inv, reduce=False) == GOLDEN_POINTS
-
-
-def test_solve_finite_monic_power_of_two():
-    conic, inv = validate(1, 3, 2, 0, 1, -5)
-    expected = sorted([(-5, 5), (-1, -1), (-1, 2), (-5, 2), (4, -1), (-10, 5)])
-    assert solve_finite(conic, inv) == expected
-
 
 def test_solve_finite_empty():
     # x^2 - y^2 = 2 has no solutions: a product of two same-parity integers
@@ -76,38 +50,6 @@ def test_solve_finite_rejects_degenerate():
     conic, inv = validate(1, 0, -1, 0, 0, 0)
     with pytest.raises(ValueError, match="degenerate"):
         solve_finite(conic, inv)
-
-
-def test_solve_finite_points_satisfy_conic():
-    for seed in range(300):
-        conic = random_valid_conic(seed, max_linear=20)
-        inv = invariants_of(conic)
-        if inv.big_i == 0:
-            continue
-        for p in solve_finite(conic, inv):
-            assert conic.evaluate(p.x, p.y) == 0
-
-
-def test_solve_finite_reduce_matches_no_reduce():
-    checked = 0
-    for seed in range(250):
-        conic = random_valid_conic(seed)
-        inv = invariants_of(conic)
-        if inv.big_i == 0:
-            continue
-        checked += 1
-        assert solve_finite(conic, inv) == solve_finite(conic, inv, reduce=False)
-    assert checked > 150
-
-
-def test_solve_finite_output_sorted_unique():
-    for seed in range(100):
-        conic = random_valid_conic(seed, max_linear=10)
-        inv = invariants_of(conic)
-        if inv.big_i == 0:
-            continue
-        pts = solve_finite(conic, inv)
-        assert pts == sorted(set(pts))
 
 
 def test_solve_dispatch():
@@ -307,20 +249,6 @@ def test_solve_homogeneous_cross_terms():
             assert conic.evaluate(p.x, p.y) == 0
 
 
-def test_solve_homogeneous_directions_coprime_and_origin():
-    from math import gcd
-
-    for seed in range(400):
-        conic = random_valid_conic(seed)
-        if conic.delta or conic.epsilon or conic.j:
-            continue
-        inv = invariants_of(conic)
-        assert inv.big_i == 0
-        for line in solve_degenerate(conic, inv):
-            assert line.solvable and line.base == (0, 0)
-            assert gcd(line.direction[0], line.direction[1]) == 1
-
-
 # ---------------------------------------------------------------------------
 # difference of squares closed forms
 
@@ -386,13 +314,6 @@ def test_square_difference_delegates_composites():
     # negative right-hand side goes through the general solver too
     res = solve_difference_of_squares(1, 1, 3)
     assert res.points == ((-1, -2), (-1, 2), (1, -2), (1, 2))
-
-
-def test_square_difference_matches_general_solver():
-    for l, m, j in [(1, 1, -3), (1, 1, -25), (2, 1, -7), (1, 2, -9), (2, 3, 5)]:
-        res = solve_difference_of_squares(l, m, j)
-        conic, inv = validate(l * l, 0, -m * m, 0, 0, j)
-        assert list(res.points) == solve_finite(conic, inv)
 
 
 def test_square_difference_psi12():
@@ -551,6 +472,7 @@ def _cramer_reference(conic, inv, reduce, factors=None):
 def _assert_matches_reference(conic, inv, reduce):
     points = solve_finite(conic, inv, reduce=reduce)
     assert points == _cramer_reference(conic, inv, reduce)
+    assert all(conic.evaluate(x, y) == 0 for x, y in points)
     assert all(type(p) is LatticePoint for p in points)
     assert len(set(points)) == len(points)
     return points
@@ -753,19 +675,6 @@ def _theorem1_points(beta, delta, epsilon, n):
     return sorted(points)
 
 
-def test_power_of_two_conic_recovers_constant():
-    conic = power_of_two_conic(3, 0, 1, 4)
-    assert (conic.alpha, conic.beta, conic.gamma) == (1, 3, 2)
-    assert conic.j == -5
-    inv = invariants_of(conic)
-    assert inv.k == 1 and inv.big_i == 16
-
-
-def test_power_of_two_points_instance():
-    pts = power_of_two_points(3, 0, 1, 4)
-    assert pts == sorted([(-5, 5), (-1, -1), (-1, 2), (-5, 2), (4, -1), (-10, 5)])
-
-
 def test_power_of_two_counts_and_agreement():
     for beta in (3, -3, 5, 9):
         for n in range(2, 41):
@@ -878,24 +787,3 @@ def test_power_of_two_points_budget_past_the_int_str_digit_limit(default_int_str
         f"{intmath.POINT_BUDGET}"
     )
 
-
-# ---------------------------------------------------------------------------
-# solver vs oracle spot checks (the large sweep lives in the acceptance tests)
-
-def test_solver_oracle_spot_agreement():
-    checked = 0
-    for seed in range(120):
-        conic = random_valid_conic(seed, max_linear=15)
-        inv = invariants_of(conic)
-        if inv.big_i == 0 or abs(inv.big_i) > 200000:
-            continue
-        checked += 1
-        from conicpoints import solution_bound
-
-        assert solve_finite(conic, inv) == brute_force(conic, solution_bound(conic, inv))
-    assert checked > 40
-
-
-def test_brute_force_golden_box():
-    conic, _ = validate(*GOLDEN)
-    assert brute_force(conic, SearchBound(10, 10)) == GOLDEN_POINTS
