@@ -1,6 +1,6 @@
 """The package root exports the documented API and no building block; no
-module of the package imports a name it never uses, and the CLI imports no
-module that only records or sampling need."""
+module of the package or of its tests imports a name it never uses, and the
+CLI imports no module that only records or sampling need."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from pathlib import Path
 import conicpoints
 
 PACKAGE = Path(conicpoints.__file__).parent
+TESTS = Path(__file__).parent
 
 ROOT_API = [
     "Conic",
@@ -88,8 +89,8 @@ def test_dead_import_finder():
 
 def test_no_dead_imports():
     dead = {
-        path.name: found
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.parent.name}/{path.name}": found
+        for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("**/*.py")])
         if (found := _dead_imports(path.read_text(encoding="utf-8")))
     }
     assert dead == {}
