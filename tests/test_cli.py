@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import contextlib
 import gc
 import hashlib
-import io
 import json
 import random
 import subprocess
@@ -11,8 +9,6 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conicpoints import (
     Conic,
@@ -20,12 +16,10 @@ from conicpoints import (
     FiniteSolutions,
     LatticePoint,
     LinePair,
-    random_valid_conic,
     solve,
     validate,
 )
 from conicpoints.cli import _dump, _inv_block, main
-from test_solver import _planted_target_conic
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
 
@@ -136,42 +130,6 @@ def test_line_pair_point_budget_edge(capsys):
     assert (code, out) == (0, "-2 -1\n0 -1\n1 0\n1 2\n")
 
 
-def _seeded_line_pairs(count):
-    """``count`` line pairs: the degenerate draws of random_valid_conic and
-    products of two random lines, in turn."""
-    rng = random.Random("cli line pairs")
-    pairs = []
-    while len(pairs) < count:
-        if len(pairs) % 2:
-            a1, b1, a2, b2 = (rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(4))
-            c1, c2 = rng.randint(-20, 20), rng.randint(-20, 20)
-            coeffs = (a1 * a2, a1 * b2 + a2 * b1, b1 * b2, a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2)
-            if a1 * b2 == a2 * b1:
-                continue
-        else:
-            coeffs = tuple(random_valid_conic(rng.randrange(2**32), max_linear=20))
-        conic, inv = validate(*coeffs)
-        if inv.big_i == 0:
-            pairs.append((conic, rng.randint(1, 12)))
-    return pairs
-
-
-def test_oracle_and_check_on_line_pairs_match_naive_enumeration(capsys):
-    # every (x, y) of the box evaluated: the oracle prints exactly the
-    # points on the conic, and --check agrees with the solver's lines
-    for conic, bound in _seeded_line_pairs(200):
-        args = [str(c) for c in conic]
-        naive = "".join(
-            f"{x} {y}\n"
-            for x in range(-bound, bound + 1)
-            for y in range(-bound, bound + 1)
-            if conic.evaluate(x, y) == 0
-        )
-        assert run_cli(capsys, "oracle", "--bound", str(bound), *args) == (0, naive, "")
-        _, solved, _ = run_cli(capsys, "solve", *args)
-        assert run_cli(capsys, "solve", "--check", "--bound", str(bound), *args) == (0, solved, "")
-
-
 def _tamper_first_line(monkeypatch, change):
     """Make the CLI's solve apply ``change`` to the first line of a pair."""
     import conicpoints.cli as cli_mod
@@ -241,34 +199,6 @@ def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatc
         "only the solver found 0",
         "only the oracle found 1: (3,4)",
     ]
-
-
-# ---------------------------------------------------------------------------
-# theorem1 / sumform
-
-@pytest.mark.parametrize("n", ["131074", "1000000", "8193"])
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_theorem1_point_budget(capsys, n, fmt):
-    """Past the point budget theorem1 refuses at once, before any 2^n: from
-    n = 8193 on its 2*(n - 1) points of n bits count 17 words or more each."""
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "theorem1", "--format", fmt, "3", "0", "0", n)
-    elapsed = time.perf_counter() - start
-    assert code == 1
-    if fmt == "json":
-        assert json.loads(out)["error"]["code"] == "divisor-limit"
-    else:
-        assert out == "" and err.startswith("error: divisor-limit: ")
-    assert elapsed < 0.1
-
-
-def test_sumform_prime_whose_proof_needs_a_prime_power(capsys):
-    # 2*q^3 + 1 with q = 1200000707 is prime; its proof needs q^3 in F
-    start = time.process_time()
-    code, out, _ = run_cli(capsys, "sumform", "1", "1", "-3456006108483598913506786487")
-    assert time.process_time() - start < 1
-    assert code == 0
-    assert len(out.splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +376,6 @@ def point_strings(points) -> list[list[str]]:
     return [[str(x), str(y)] for x, y in points]
 
 
-def main_stdout(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == 0
-    return out.getvalue()
-
-
 @pytest.mark.parametrize(
     "argv, keys, points",
     [
@@ -497,31 +420,6 @@ def test_json_error_message_escaped(capsys, monkeypatch):
     assert code == 1
     doc = assert_canonical_json(out)
     assert doc["error"] == {"code": "conic-error", "message": message}
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32), no_reduce=st.booleans())
-def test_solve_json_bytes_random_conics(seed, no_reduce):
-    conic = random_valid_conic(seed)
-    coeffs = [str(v) for v in tuple(conic)]
-    flags = ["--no-reduce"] if no_reduce else []
-    doc = assert_canonical_json(main_stdout(["solve", "--format", "json", *flags, *coeffs]))
-    result = solve(conic)
-    if isinstance(result, FiniteSolutions):
-        assert doc["points"] == point_strings(result.points)
-    else:
-        assert doc["kind"] == "lines"
-
-
-def test_solve_json_bytes_planted_target():
-    tau = 6720
-    target = 2**6 * 3**4 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23
-    conic, _ = _planted_target_conic(random.Random(7), target)
-    coeffs = [str(v) for v in tuple(conic)]
-    doc = assert_canonical_json(main_stdout(["solve", "--format", "json", *coeffs]))
-    points = solve(conic).points
-    assert len(points) == 2 * tau
-    assert doc["points"] == point_strings(points)
 
 
 def _writer_point_sets():
