@@ -6,7 +6,6 @@ each is printed only after its assertions pass.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from math import gcd
@@ -241,9 +240,3 @@ def test_criterion_8_reduction_equivalence():
         f"ACCEPTANCE 8: PASS reduced and unreduced enumeration agree on "
         f"1000 conics in {elapsed:.2f} s"
     )
-
-
-def test_acceptance_doc_roundtrip(capsys):
-    # companion check: the frozen document parses back to itself
-    doc = json.loads(GOLDEN_JSON)
-    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == GOLDEN_JSON
