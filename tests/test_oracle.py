@@ -79,14 +79,6 @@ def test_brute_force_monic_power_of_two():
     )
 
 
-def test_brute_force_degenerate_box():
-    # on x^2 = y^2 the box search sees both diagonals; 13 points for bound 3
-    conic, _ = validate(1, 0, -1, 0, 0, 0)
-    pts = brute_force(conic, SearchBound(3, 3))
-    assert len(pts) == 13
-    assert all(x * x == y * y for x, y in pts)
-
-
 def test_brute_force_needs_only_alpha_nonzero():
     # the quadratic formula divides by 2*alpha
     with pytest.raises(DegenerateAlpha, match="alpha must be nonzero"):
