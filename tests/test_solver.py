@@ -230,14 +230,6 @@ def test_degenerate_line_points_satisfy_conic():
 # ---------------------------------------------------------------------------
 # homogeneous specialisation
 
-def test_solve_homogeneous_difference_of_squares():
-    conic, inv = validate(1, 0, -1, 0, 0, 0)
-    s1, s2 = solve_degenerate(conic, inv)
-    assert s1.base == (0, 0) and s2.base == (0, 0)
-    assert s1.direction == (1, 1)  # the set {(t, t)}
-    assert s2.direction == (1, -1)  # the set {(-t, t)}
-
-
 def test_solve_homogeneous_cross_terms():
     conic, inv = validate(2, -5, 2, 0, 0, 0)
     s1, s2 = solve_degenerate(conic, inv)
