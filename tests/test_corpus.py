@@ -2,21 +2,45 @@
 the exit code and the stdout and stderr bytes it gave when the file was
 written (see tests/corpus/make.py)."""
 
+import traceback
+from itertools import zip_longest
+
 import pytest
 
 from corpus import make
-from corpus.make import GOLDEN, calls, differs, entry, load, run
+from corpus.make import GOLDEN, differs, entry, load, run
+
+
+def _replay(docs: list[dict]) -> list[str]:
+    """Every report on ``docs``: each stored call that differs, their count,
+    then whether make.calls() still draws exactly their argvs.  The calls
+    are replayed first because calls() draws some argvs through the
+    library, so a fault there also shows as a list mismatch."""
+    reports = [report for doc in docs if (report := differs(doc, *run(doc["argv"])))]
+    if reports:
+        reports.append(f"{len(reports)} of {len(docs)} calls differ")
+    stored = [doc["argv"] for doc in docs]
+    try:
+        drawn = make.calls()
+    except Exception:
+        reports.append(f"calls() raised:\n{traceback.format_exc()}")
+        return reports
+    # an edit to calls() that was never regenerated, or a library change to
+    # an argv it draws
+    lines = [i for i, pair in enumerate(zip_longest(stored, drawn), 1) if pair[0] != pair[1]]
+    if lines:
+        reports.append(
+            f"calls() no longer draws the stored argvs: {len(lines)} lines differ, the first {lines[0]}"
+        )
+    return reports
 
 
 def test_corpus_replays_byte_for_byte(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     docs = load()
     assert len(docs) > 500
-    # an edit to calls() that was never regenerated
-    assert [doc["argv"] for doc in docs] == calls()
-    reports = [report for doc in docs if (report := differs(doc, *run(doc["argv"])))]
-    if reports:
-        pytest.fail("\n".join([*reports, f"{len(reports)} of {len(docs)} calls differ"]))
+    if reports := _replay(docs):
+        pytest.fail("\n".join(reports))
 
 
 def test_report_names_a_long_argument_by_its_size():
@@ -45,6 +69,21 @@ def test_a_call_that_raises_is_reported_and_the_replay_goes_on(monkeypatch):
     (report,) = reports
     assert report.startswith("differs: solve 2 -5 2 -1 1 -1\nexit raised OverflowError, stored 0\n")
     assert report.endswith("+OverflowError: int too large to convert to float\n")
+
+
+def test_replay_reports_the_calls_before_a_calls_that_raises(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    _crash_on(monkeypatch, ["solve", *GOLDEN])
+
+    def raising():
+        raise OverflowError("drawn through a broken library")
+
+    monkeypatch.setattr(make, "calls", raising)
+    crashed, count, listed = _replay(load()[:30])
+    assert crashed.startswith("differs: solve 2 -5 2 -1 1 -1\nexit raised OverflowError")
+    assert count == "1 of 30 calls differ"
+    assert listed.startswith("calls() raised:\nTraceback")
+    assert listed.endswith("OverflowError: drawn through a broken library\n")
 
 
 def test_write_leaves_the_corpus_untouched_when_a_call_raises(monkeypatch, tmp_path, capsys):
