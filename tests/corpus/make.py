@@ -8,7 +8,9 @@ SHA-256 of stdout and of stderr, with the text itself when it is under
 code, each stream's hash and, where the text is stored, a unified diff.
 tests/test_corpus.py replays every line in process through it, and
 ``--replay`` runs every argv through a command in a subprocess, each with
-30 s to answer.  From the root of the repository:
+30 s to answer.  Every call runs from the root of the repository, and the
+--input calls name the files under tests/corpus/inputs from there.  From
+the root of the repository:
 
     PYTHONPATH=src python tests/corpus/make.py            # regenerate
     python tests/corpus/make.py --replay conicpoints      # replay through
@@ -17,11 +19,11 @@ tests/test_corpus.py replays every line in process through it, and
 Either replay reports every differing call the same way, then their
 count; ``--replay`` exits 1 if any differs or times out.  In process, a call
 that raises is one more differing call, and regenerating names it and
-leaves the file as it was.  The calls come
-from fixed lists and seeds, so the file changes only when the bytes do.
+leaves the file as it was.  The calls come from fixed lists, seeds and
+budgets, so the file changes only when the bytes or a budget do.
 Left out: the root --help, whose subcommand column Python 3.13 lays out
 differently from 3.10-3.12; exit 3, which needs a tampered solver; and
---input on a file that exists, whose messages name a temporary path.
+--input on a nesting too deep to parse, a generated 200 KB file.
 """
 
 import argparse
@@ -39,10 +41,14 @@ from pathlib import Path
 
 from conicpoints import power_of_two_conic, random_valid_conic
 from conicpoints.cli import main
+from conicpoints.intmath import POINT_BUDGET
+from conicpoints.oracle import ROW_BUDGET
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]  # every call runs here
 CORPUS = HERE / "calls.jsonl"
-OVERCAP = HERE.parents[1] / "bench" / "overcap.json"
+OVERCAP = ROOT / "bench" / "overcap.json"
+INPUTS = "tests/corpus/inputs"  # --input files, relative to ROOT
 # stdout and stderr are kept in full below this many UTF-8 bytes
 TEXT_LIMIT = 1024
 # seconds a --replay call may take: far above what any call needs, so a
@@ -53,6 +59,8 @@ ARG_LIMIT = 80
 
 GOLDEN = ["2", "-5", "2", "-1", "1", "-1"]
 LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
+# (3x + 3y + 1)(3x - 3y + 2): neither line holds a lattice point
+NO_POINTS = ["9", "0", "-9", "9", "3", "2"]
 PSI13 = 3317044064679887385961981
 
 
@@ -140,8 +148,7 @@ def calls() -> list[list[str]]:
         # a line pair's two families: the invariant is 0
         ["solve", *LINES],
         ["solve", "--format", "json", *LINES],
-        # (3x + 3y + 1)(3x - 3y + 2): neither line holds a lattice point
-        ["solve", "--format", "json", "9", "0", "-9", "9", "3", "2"],
+        ["solve", "--format", "json", *NO_POINTS],
         ["solve", "--check", "--bound", "8", *LINES],
         ["oracle", *GOLDEN, "--bound", "3"],
         ["theorem1", "3", "0", "1", "4"],  # its points come from the divisor solver
@@ -268,8 +275,48 @@ def calls() -> list[list[str]]:
         # with the one exit-4 message oracle gives too
         ["solve", "--format", "text", *LINES],
     ]
+    # the files under INPUTS: the golden conic through each subcommand, and
+    # exit 2 on too few keys, on text that is not JSON (cut off after a
+    # comma), on bytes that are not UTF-8, on a value that is not canonical,
+    # on numbers for strings, and on a file beside six coefficients
+    golden = f"{INPUTS}/golden.json"
+    inputs = [[command, "--input", golden] for command in ("solve", "invariants", "oracle")]
+    inputs += [
+        ["solve", "--input", f"{INPUTS}/{name}.json"]
+        for name in ("missing_keys", "truncated", "not_utf8", "leading_zeros", "numeric")
+    ]
+    inputs.append(["solve", "--input", golden, "1", "2", "3", "4", "5", "6"])
+    # each budget's edge, drawn from the budget so that a change to it still
+    # lands on the edge: the widest box the oracle may scan, then one row
+    # more; the widest box a line pair's points may fill, then one row more,
+    # on NO_POINTS, where solve --check prints what plain solve does before
+    # it refuses; and a finite conic, which the point budget does not hold
+    rows, points = (ROW_BUDGET - 1) // 2, (POINT_BUDGET - 2) // 4
+    edges = [
+        ["oracle", "--bound", str(rows), *GOLDEN],
+        ["oracle", "--bound", str(rows + 1), *GOLDEN],
+        ["solve", "--check", "--bound", str(rows + 1), *LINES],
+        *(
+            [*command, "--bound", str(bound), *NO_POINTS]
+            for bound in (points, points + 1)
+            for command in (["oracle"], ["solve", "--check"])
+        ),
+        ["solve", *NO_POINTS],
+        ["oracle", "--bound", str(points + 1), *GOLDEN],
+    ]
+    # 10^2199: delta_q = 10^4398 - 4 has more digits than Python's default
+    # int/str limit of 4,300, which main lifts
+    huge = ["1", "0", "-1", "1" + "0" * 2199, "0", "1"]
+    digits = [
+        [command, *fmt, *huge]
+        for command in ("invariants", "solve")
+        for fmt in ([], ["--format", "json"])
+    ]
     seen, ordered = set(), []
-    for argv in readme + helps + solves + checks + families + errors + overcap + lines:
+    for argv in (
+        readme + helps + solves + checks + families + errors + overcap + lines
+        + inputs + edges + digits
+    ):
         if tuple(argv) not in seen:
             seen.add(tuple(argv))
             ordered.append(argv)
@@ -291,7 +338,7 @@ def replay(command: list[str]) -> int:
     for doc in docs:
         try:
             proc = subprocess.run(
-                [*command, *doc["argv"]], capture_output=True, env=env, timeout=TIMEOUT
+                [*command, *doc["argv"]], capture_output=True, cwd=ROOT, env=env, timeout=TIMEOUT
             )
             report = differs(doc, proc.returncode, proc.stdout, proc.stderr)
         except subprocess.TimeoutExpired:
@@ -307,6 +354,7 @@ def write() -> int:
     """Run every call, then write the file.  If any call raised, name each
     with its traceback, leave the file as it was and return 1."""
     os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     docs, raised = [], 0
     for argv in calls():
         code, out, err = run(argv)
@@ -325,7 +373,9 @@ def write() -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--replay", metavar="COMMAND", help="replay the calls through COMMAND instead of writing them"
+        "--replay",
+        metavar="COMMAND",
+        help="replay the calls through COMMAND, run from the repository root, instead of writing them",
     )
     args = parser.parse_args()
     sys.exit(replay(shlex.split(args.replay)) if args.replay else write())

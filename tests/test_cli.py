@@ -65,24 +65,6 @@ def test_solve_check_mismatch_lists_are_capped(capsys, monkeypatch):
     ]
 
 
-def test_oracle_row_budget_edge(capsys):
-    from conicpoints.oracle import ROW_BUDGET
-
-    by = (ROW_BUDGET - 1) // 2
-    code, out, err = run_cli(capsys, "oracle", "--bound", str(by), *GOLDEN_ARGS)
-    assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
-    code, out, err = run_cli(capsys, "oracle", "--bound", str(by + 1), *GOLDEN_ARGS)
-    assert code == 5
-    assert out == ""
-    assert f"(bx={by + 1}, by={by + 1}) has {2 * by + 3} rows" in err
-    assert f"row budget of {ROW_BUDGET}" in err
-    code, _, err = run_cli(
-        capsys, "solve", "--check", "--bound", str(by + 1), "1", "0", "-1", "0", "0", "0"
-    )
-    assert code == 5
-    assert "row budget" in err
-
-
 def test_oracle_row_budget_edge_slowest_finite_box(capsys):
     """The slowest finite box ROW_BUDGET's comment names: its disc passes
     every square filter in every row.  At 2^22 - 1 rows it answers within a
@@ -103,31 +85,6 @@ def test_oracle_row_budget_edge_slowest_finite_box(capsys):
         "over the oracle row budget of 4194304\n"
     )
     assert elapsed < 0.1
-
-
-def test_line_pair_point_budget_edge(capsys):
-    from conicpoints.intmath import POINT_BUDGET
-
-    # (3x + 3y + 1)(3x - 3y + 2) = 0 has no lattice point, so the accepted
-    # side scans its rows quickly and prints nothing
-    lines = ["9", "0", "-9", "9", "3", "2"]
-    by = (POINT_BUDGET - 2) // 4
-    assert 2 * (2 * by + 1) <= POINT_BUDGET < 2 * (2 * by + 3)
-    code, out, err = run_cli(capsys, "oracle", "--bound", str(by), *lines)
-    assert (code, out, err) == (0, "", "")
-    code, _, err = run_cli(capsys, "solve", "--check", "--bound", str(by), *lines)
-    assert (code, err) == (0, "")
-    _, solved, _ = run_cli(capsys, "solve", *lines)
-    for cmd, printed in ((["oracle"], ""), (["solve", "--check"], solved)):
-        code, out, err = run_cli(capsys, *cmd, "--bound", str(by + 1), *lines)
-        assert (code, out) == (5, printed)
-        assert err == (
-            f"error: search box (bx={by + 1}, by={by + 1}) has room for "
-            f"{4 * by + 6} points, over the oracle point budget of {POINT_BUDGET}\n"
-        )
-    # a finite conic is not held to the point budget
-    code, out, _ = run_cli(capsys, "oracle", "--bound", str(by + 1), *GOLDEN_ARGS)
-    assert (code, out) == (0, "-2 -1\n0 -1\n1 0\n1 2\n")
 
 
 def _tamper_first_line(monkeypatch, change):
@@ -204,101 +161,12 @@ def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatc
 # ---------------------------------------------------------------------------
 # input handling
 
-def test_input_file(tmp_path, capsys):
-    doc = {
-        "alpha": "2",
-        "beta": "-5",
-        "gamma": "2",
-        "delta": "-1",
-        "epsilon": "1",
-        "j": "-1",
-    }
-    path = tmp_path / "conic.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "solve", "--input", str(path))
-    assert code == 0
-    assert out == "-2 -1\n0 -1\n1 0\n1 2\n"
-
-
-def test_input_file_bad_schema(tmp_path, capsys):
-    path = tmp_path / "conic.json"
-    path.write_text(json.dumps({"alpha": "2"}))
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--input", str(path)])
-    assert exc.value.code == 2
-    # not JSON at all
-    path.write_text('{"alpha": "2",')
-    code, out, err = run_cli(capsys, "solve", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert f"invalid JSON in {path}: " in err
-
-
-def test_input_file_not_utf8(tmp_path, capsys):
-    path = tmp_path / "conic.json"
-    path.write_bytes(b"\xff\xfe")
-    code, out, err = run_cli(capsys, "solve", "--input", str(path))
-    assert (code, out) == (2, "")
-    assert f"invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff" in err
-
-
 def test_input_file_nested_too_deep(tmp_path, capsys):
     path = tmp_path / "conic.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run_cli(capsys, "solve", "--input", str(path))
     assert (code, out) == (2, "")
     assert f"invalid JSON in {path}: maximum recursion depth exceeded" in err
-
-
-def test_input_file_non_canonical_integer(tmp_path, capsys):
-    doc = {
-        "alpha": "2",
-        "beta": "-5",
-        "gamma": "2",
-        "delta": "-1",
-        "epsilon": "1",
-        "j": "007",
-    }
-    path = tmp_path / "conic.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--input", str(path)])
-    assert exc.value.code == 2
-
-
-def test_input_file_numeric_json_rejected(tmp_path, capsys):
-    doc = {"alpha": 2, "beta": -5, "gamma": 2, "delta": -1, "epsilon": 1, "j": -1}
-    path = tmp_path / "conic.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--input", str(path)])
-    assert exc.value.code == 2
-
-
-def test_coefficients_and_input_conflict(tmp_path, capsys):
-    path = tmp_path / "conic.json"
-    path.write_text("{}")
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--input", str(path), "1", "2", "3", "4", "5", "6"])
-    assert exc.value.code == 2
-
-
-def test_coefficients_past_the_int_str_digit_limit(capsys):
-    # delta_q = 10^4398 - 4 has more digits than Python's default limit of
-    # 4,300 for int/str conversion
-    coeffs = ["1", "0", "-1", "1" + "0" * 2199, "0", "1"]
-    delta_q = "9" * 4397 + "6"
-    code, out, _ = run_cli(capsys, "invariants", *coeffs)
-    assert code == 0
-    assert f"\ndelta_q = {delta_q}\n" in out
-    code, out, _ = run_cli(capsys, "invariants", "--format", "json", *coeffs)
-    assert code == 0
-    assert json.loads(out)["invariants"]["delta_q"] == delta_q
-    code, out, err = run_cli(capsys, "solve", *coeffs)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: divisor-limit: ")
-    code, out, _ = run_cli(capsys, "solve", "--format", "json", *coeffs)
-    assert code == 1
-    assert json.loads(out)["error"]["code"] == "divisor-limit"
 
 
 def test_main_restores_the_int_str_digit_limit(capsys):
@@ -468,16 +336,6 @@ def test_divisor_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("CONIC_DIVISOR_CAP", "10")
     code, out, err = run_cli(capsys, "solve", "--no-reduce", *GOLDEN_ARGS)
     assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
-
-
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "conicpoints", "solve", *GOLDEN_ARGS],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "-2 -1\n0 -1\n1 0\n1 2\n"
 
 
 def test_main_is_reentrant(capsys):

@@ -37,6 +37,7 @@ def _replay(docs: list[dict]) -> list[str]:
 
 def test_corpus_replays_byte_for_byte(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(make.ROOT)  # the --input calls name files from here
     docs = load()
     assert len(docs) > 500
     if reports := _replay(docs):
@@ -83,6 +84,7 @@ def test_write_leaves_the_corpus_untouched_when_a_call_raises(monkeypatch, tmp_p
     corpus.write_text("stored\n")
     crash = ["solve", "--format", "json", *GOLDEN]
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # put back after write() moves to the root
     monkeypatch.setattr(make, "CORPUS", corpus)
     monkeypatch.setattr(make, "calls", lambda: [["solve", *GOLDEN], crash])
     _crash_on(monkeypatch, crash)
