@@ -18,11 +18,12 @@ from .intmath import ceil_div, positive_divisors
 
 
 # Rows (2*by + 1) the CLI lets the oracle scan; larger boxes are refused with
-# exit code 5.  The slowest finite case, a conic whose disc passes every
-# square filter in every row (`oracle --bound 2097151 1 3 2 0 0 -2882880`),
-# took 0.51-0.61 s of CPU time and 17 MB peak at 2^22 rows on a 2-vCPU
-# x86-64 machine with Python 3.11, and 2.3 s (brute_force alone) at 2^24; a
-# typical derived box scans tens of millions of rows per second.
+# exit code 5.  The slowest finite box at small coefficients is one whose
+# rows the sieve never strikes, `oracle --bound 2097151 1 3 2 0 -M -M` with
+# M = 14757354782123793840 the product of the sieve moduli: 1.5-2.4 s of
+# CPU time and a 130 KiB tracemalloc peak in brute_force at 2^22 rows on a
+# 2-vCPU x86-64 machine with Python 3.11.  The budget bounds rows, not the
+# work in a row, which grows with the digits of disc.
 ROW_BUDGET = 1 << 22
 
 
@@ -72,37 +73,35 @@ def _square_table(m: int) -> bytes:
     return bytes(table)
 
 
-# Wheel factors in the order they join; pairwise coprime.  A factor joins
-# only while the box holds at least _WHEEL_PERIODS periods of the wheel.
-_WHEEL_FACTORS = (16, 9, 5, 7, 11, 13)
-_WHEEL_PERIODS = 8
-_SQUARES = {m: _square_table(m) for m in (*_WHEEL_FACTORS, 64)}
+# The sieve cuts the rows into blocks of _BLOCK rows.  Its moduli join in
+# this order (pairwise coprime), each only while the block keeps at least
+# _JOIN unstruck rows per residue of it.
+_BLOCK = 1 << 16
+_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_JOIN = 8
+_SQUARES = {m: _square_table(m) for m in _MODULI}
+_ZEROS = memoryview(bytes(ceil_div(_BLOCK, min(_MODULI))))
 
 
-def _wheel(rows: int) -> tuple[int, ...]:
-    """The wheel factors used for a box of ``rows`` rows."""
-    factors: tuple[int, ...] = ()
-    period = 1
-    for m in _WHEEL_FACTORS:
-        period *= m
-        if rows < _WHEEL_PERIODS * period:
+def _sieve(p: int, q: int, r: int, y0: int, n: int, struck: dict[int, list[int]]) -> bytearray:
+    """Mask of the n rows from y0: 0 at each row y where p*y^2 + q*y + r
+    is not a square modulo some modulus that joined, 1 elsewhere.
+
+    ``struck`` maps each modulus m to the residues t mod m where the value
+    is not a square mod m; it is filled as a modulus first joins, so one
+    call of brute_force computes them once for all its blocks.
+    """
+    mask = bytearray(b"\x01") * n
+    for m in _MODULI:
+        if mask.count(1) < _JOIN * m:
             break
-        factors += (m,)
-    return factors
-
-
-def _square_classes(p: int, q: int, r: int, factors) -> tuple[int, list[int]]:
-    """The period W of ``factors`` and the classes y mod W in which
-    p*y^2 + q*y + r is a square modulo every factor, joined by CRT."""
-    period, classes = 1, [0]
-    for m in factors:
-        table = _SQUARES[m]
-        pm, qm, rm = p % m, q % m, r % m
-        ok = [y for y in range(m) if table[(pm * y * y + qm * y + rm) % m]]
-        inv = pow(period, -1, m)
-        classes = [c + period * ((b - c) * inv % m) for c in classes for b in ok]
-        period *= m
-    return period, classes
+        if m not in struck:
+            table, pm, qm, rm = _SQUARES[m], p % m, q % m, r % m
+            struck[m] = [t for t in range(m) if not table[(pm * t * t + qm * t + rm) % m]]
+        for t in struck[m]:
+            i = (t - y0) % m
+            mask[i::m] = _ZEROS[: ceil_div(n - i, m)]
+    return mask
 
 
 def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
@@ -124,12 +123,10 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     row: each row costs two divisibility tests by 2*alpha, one on the
     crossing row t*y + u = 0 where the roots coincide, and no square root.
 
-    Otherwise the rows are visited one residue class mod W at a time,
-    where W is a wheel of the factors 16, 9, 5, 7, 11, 13 (each joins only
-    while the box holds at least 8 periods of W); classes in which disc is
-    never a square mod some factor are skipped.  Within a class disc is
-    updated by finite differences, and math.isqrt runs only on values that
-    are squares mod 64.
+    Otherwise a sieve strikes, block by block, the rows in which disc is
+    not a square modulo one of 16, 9, 5, 7, 11, 13 and the primes 17 to 47
+    (see _sieve); disc is evaluated and math.isqrt taken only in the rows
+    that survive, visited run by run.
 
     Both paths read the roots off the quadratic formula row by row: the
     filters use only that a square is a square modulo every m, and the
@@ -167,26 +164,27 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
             minus += step_minus
         found.sort()
         return found
-    period, classes = _square_classes(p, q, r, _wheel(hi - lo + 1))
-    sq64 = _SQUARES[64]
     isqrt = math.isqrt
-    step2 = 2 * p * period * period
-    for c in classes:
-        y0 = lo + (c - lo) % period
-        disc = (p * y0 + q) * y0 + r
-        # disc(y + W) - disc(y) at y = y0; it grows by step2 per step
-        diff = p * period * (2 * y0 + period) + q * period
-        for y in range(y0, hi + 1, period):
-            if sq64[disc & 63] and disc >= 0:
-                s = isqrt(disc)
-                if s * s == disc:
-                    lin = b * y + d
-                    for num in (s - lin, -s - lin) if s else (-lin,):
-                        x, rest = divmod(num, two_a)
-                        if not rest and -bx <= x <= bx:
-                            found.append(new(LatticePoint, (x, y)))
-            disc += diff
-            diff += step2
+    struck: dict[int, list[int]] = {}
+    for y0 in range(lo, hi + 1, _BLOCK):
+        n = min(_BLOCK, hi + 1 - y0)
+        mask = _sieve(p, q, r, y0, n, struck)
+        i = mask.find(1)
+        while i >= 0:
+            j = mask.find(0, i)
+            if j < 0:
+                j = n
+            for y in range(y0 + i, y0 + j):
+                disc = (p * y + q) * y + r
+                if disc >= 0:
+                    s = isqrt(disc)
+                    if s * s == disc:
+                        lin = b * y + d
+                        for num in (s - lin, -s - lin) if s else (-lin,):
+                            x, rest = divmod(num, two_a)
+                            if not rest and -bx <= x <= bx:
+                                found.append(new(LatticePoint, (x, y)))
+            i = mask.find(1, j)
     found.sort()
     return found
 

@@ -66,16 +66,23 @@ def test_solve_check_mismatch_lists_are_capped(capsys, monkeypatch):
 
 
 def test_oracle_row_budget_edge_slowest_finite_box(capsys):
-    """The slowest finite box ROW_BUDGET's comment names: its disc passes
-    every square filter in every row.  At 2^22 - 1 rows it answers within a
-    CPU ceiling; one more row is refused at once."""
-    conic_args = ["1", "3", "2", "0", "0", "-2882880"]
-    start = time.process_time()
-    code, out, err = run_cli(capsys, "oracle", "--bound", "2097151", *conic_args)
-    elapsed = time.process_time() - start
-    assert (code, err) == (0, "")
-    assert len(out.splitlines()) == 666
-    assert elapsed < 5
+    """The slowest finite box ROW_BUDGET's comment names: epsilon = j = -M,
+    with M = 14757354782123793840 the product of the sieve moduli, so
+    disc(y) = y^2 + 4*M*y + 4*M is a square modulo every modulus in every
+    row and the sieve strikes none.  At 2^22 - 1 rows it answers within a
+    CPU ceiling, as does `1 3 2 0 0 -2882880`, whose disc y^2 + 11531520 is
+    a square modulo 16, 9, 5, 7, 11 and 13 in every row; one more row is
+    refused at once."""
+    for conic_args, points in (
+        (["1", "3", "2", "0", "-14757354782123793840", "-14757354782123793840"], 2),
+        (["1", "3", "2", "0", "0", "-2882880"], 666),
+    ):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "oracle", "--bound", "2097151", *conic_args)
+        elapsed = time.process_time() - start
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == points
+        assert elapsed < 5
     start = time.process_time()
     code, out, err = run_cli(capsys, "oracle", "--bound", "2097152", *conic_args)
     elapsed = time.process_time() - start

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from conicpoints import (
     validate,
 )
 from conicpoints.intmath import integer_sqrt
-from conicpoints.oracle import _SQUARES, _WHEEL_FACTORS, _square_classes, _wheel
+from conicpoints.oracle import _BLOCK, _JOIN, _MODULI, _SQUARES, ROW_BUDGET, _sieve
 from conicpoints.solver import solve_finite
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
@@ -152,21 +153,47 @@ def _assert_same(conic, bound):
 
 
 def test_square_tables_hold_exactly_the_squares():
-    assert set(_SQUARES) == {*_WHEEL_FACTORS, 64}
+    assert set(_SQUARES) == set(_MODULI)
     for m, table in _SQUARES.items():
         assert len(table) == m
         assert {r for r in range(m) if table[r]} == {s * s % m for s in range(m)}
 
 
-@pytest.mark.parametrize("p, q, r", [(9, 2, 9), (1, 0, 11531520), (49, -10**30 - 7, 3**60)])
+def _naive_sieve(p, q, r, y0, n):
+    """The rows y0..y0+n-1 whose value is a square mod every modulus that
+    joined: a modulus joins while at least _JOIN rows per residue survive."""
+    alive = range(y0, y0 + n)
+    for m in _MODULI:
+        if len(alive) < _JOIN * m:
+            break
+        squares = {s * s % m for s in range(m)}
+        alive = [y for y in alive if (p * y * y + q * y + r) % m in squares]
+    return set(alive)
+
+
+@pytest.mark.parametrize(
+    "p, q, r",
+    [
+        (9, 2, 9),
+        (1, 0, 11531520),
+        (49, -10**30 - 7, 3**60),
+        (-(10**40) - 3, 7**50, -(10**45) + 1),
+        (1, 0, 0),
+        (4, 4, 1),
+        (1, 4 * math.prod(_MODULI), 4 * math.prod(_MODULI)),
+    ],
+)
 def test_square_classes_are_the_rows_square_mod_every_factor(p, q, r):
-    factors = (16, 9, 5, 7)
-    period, classes = _square_classes(p, q, r, factors)
-    assert period == 5040
-    disc = [p * y * y + q * y + r for y in range(period)]
-    assert sorted(classes) == [
-        y for y in range(period) if all(_SQUARES[m][disc[y] % m] for m in factors)
-    ]
+    # the sieve keeps exactly the rows square mod every modulus that joined,
+    # so it never strikes a row whose value is a perfect square
+    struck = {}
+    for y0, n in ((0, 5040), (-70001, _BLOCK), (-3, 127), (-3, 128), (10**12 + 5, 4000), (-(10**20), 1)):
+        mask = _sieve(p, q, r, y0, n, struck)
+        assert len(mask) == n
+        assert {y0 + i for i in range(n) if mask[i]} == _naive_sieve(p, q, r, y0, n)
+        for i in range(n):
+            if integer_sqrt(p * (y0 + i) ** 2 + q * (y0 + i) + r) is not None:
+                assert mask[i]
 
 
 def test_brute_force_matches_naive_on_derived_boxes():
@@ -253,14 +280,14 @@ def test_brute_force_line_pairs_with_large_coefficients(coeffs, x0, y0, shift):
 
 
 def test_brute_force_reads_line_pairs_without_square_classes(monkeypatch):
-    # the line-pair scan needs no wheel and no square root; the finite scan
+    # the line-pair scan needs no sieve and no square root; the finite scan
     # still uses both
     import conicpoints.oracle as oracle
 
     def refused(*args):
         raise AssertionError("square classes on a line pair")
 
-    monkeypatch.setattr(oracle, "_square_classes", refused)
+    monkeypatch.setattr(oracle, "_sieve", refused)
     conic, _ = validate(1, 0, -1, 0, 0, 0)
     assert len(brute_force(conic, SearchBound(3, 3))) == 13
     with pytest.raises(AssertionError, match="square classes"):
@@ -275,28 +302,22 @@ def test_brute_force_matches_naive_with_by_zero():
     assert brute_force(validate(1, 3, 2, 0, 1, -5)[0], SearchBound(0, 0)) == []
 
 
-# Row counts at which each wheel factor joins (8 periods of the wheel).
-_THRESHOLDS = (8 * 16, 8 * 144, 8 * 720, 8 * 5040, 8 * 55440, 8 * 720720)
-
-
-@pytest.mark.parametrize("n", range(len(_THRESHOLDS)))
-def test_brute_force_across_wheel_thresholds(n):
-    threshold = _THRESHOLDS[n]
-    assert _wheel(threshold - 1) == _WHEEL_FACTORS[:n]
-    assert _wheel(threshold) == _wheel(threshold + 1) == _WHEEL_FACTORS[: n + 1]
+@pytest.mark.parametrize(
+    "rows", [_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 5 * _BLOCK + 1, ROW_BUDGET - 1]
+)
+def test_brute_force_across_block_edges(rows):
     # points at |y| from 2 to about 4.2 million, so every box cuts the set
     conic = power_of_two_conic(3, 0, 1, 24)
     everywhere = power_of_two_points(3, 0, 1, 24)
     assert list(solve(conic).points) == everywhere
-    for rows in (threshold - 1, threshold + 1):
-        bound = SearchBound(10**8, (rows - 1) // 2)
-        inside = [p for p in everywhere if abs(p.y) <= bound.by]
-        assert brute_force(conic, bound) == inside
-        assert 0 < len(inside) < len(everywhere)
-        if rows < 10**6:
-            _assert_same(conic, bound)
-        if rows < 10**5:
-            _assert_same(random_valid_conic(7), bound)
+    bound = SearchBound(10**8, (rows - 1) // 2)
+    inside = [p for p in everywhere if abs(p.y) <= bound.by]
+    assert brute_force(conic, bound) == inside
+    assert 0 < len(inside) < len(everywhere)
+    if rows < 10**6:
+        _assert_same(conic, bound)
+    if rows < 10**5:
+        _assert_same(random_valid_conic(7), bound)
 
 
 @st.composite
