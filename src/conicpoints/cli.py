@@ -290,89 +290,84 @@ def _cmd_sumform(args: argparse.Namespace) -> None:
 
 # ---------------------------------------------------------------------------
 
-def _add_conic_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "coefficients",
-        nargs="*",
-        type=_int_arg,
-        metavar="coefficient",
-        help="the six coefficients alpha beta gamma delta epsilon j",
-    )
-    sub.add_argument(
-        "--input",
-        metavar="FILE",
-        help="read the conic from a JSON document with keys alpha..j "
+# Each subcommand's arguments, as (flags, add_argument keywords) pairs.
+_CONIC_ARGUMENTS = (
+    (("coefficients",), {
+        "nargs": "*",
+        "type": _int_arg,
+        "metavar": "coefficient",
+        "help": "the six coefficients alpha beta gamma delta epsilon j",
+    }),
+    (("--input",), {
+        "metavar": "FILE",
+        "help": "read the conic from a JSON document with keys alpha..j "
         "(decimal strings) instead of positional coefficients",
-    )
+    }),
+)
+_FORMAT_ARGUMENT = (("--format",), {
+    "choices": ("text", "json"),
+    "default": "text",
+    "help": "output format (default: text)",
+})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _int_arguments(*names: str) -> tuple:
+    return tuple(((name,), {"type": _int_arg}) for name in names)
+
+
+# name -> (help, handler, arguments before --format), in the order listed
+_COMMANDS = {
+    "solve": ("all integral points, or the degenerate line pair", _cmd_solve, (
+        *_CONIC_ARGUMENTS,
+        (("--no-reduce",), {
+            "action": "store_true",
+            "help": "enumerate divisors of the full right-hand side instead of the "
+            "content-reduced one (same answer, more work)",
+        }),
+        (("--check",), {
+            "action": "store_true",
+            "help": "re-derive the answer with the brute-force oracle; exit 3 on mismatch",
+        }),
+        (("--bound",), {
+            "type": _positive_int,
+            "help": "override the derived search box for --check (required when the "
+            "invariant is zero)",
+        }),
+    )),
+    "invariants": ("print k, i, delta_q, m", _cmd_invariants, _CONIC_ARGUMENTS),
+    "oracle": ("brute-force search within a box, independent of the solver", _cmd_oracle, (
+        *_CONIC_ARGUMENTS,
+        (("--bound",), {
+            "type": _positive_int,
+            "help": "half-width of the square search box (defaults to the derived bound)",
+        }),
+    )),
+    "theorem1": (
+        "closed-form point family for monic unit-k conics with invariant 2^n",
+        _cmd_theorem1,
+        _int_arguments("beta", "delta", "epsilon", "n"),
+    ),
+    "sumform": ("solve l^2*x^2 - m^2*y^2 + j = 0", _cmd_sumform, _int_arguments("l", "m", "j")),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser.  It lists every subcommand, so the root
+    usage, help and invalid-choice error are whole, but adds only
+    ``command``'s arguments, or every subcommand's when it is None: argparse
+    reads no subparser but the one named first."""
     parser = argparse.ArgumentParser(
         prog="conicpoints",
         description="Exact integral points on conics whose quadratic part "
         "splits into two rational lines.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p_solve = sub.add_parser(
-        "solve", help="all integral points, or the degenerate line pair"
-    )
-    _add_conic_arguments(p_solve)
-    p_solve.add_argument(
-        "--no-reduce",
-        action="store_true",
-        help="enumerate divisors of the full right-hand side instead of the "
-        "content-reduced one (same answer, more work)",
-    )
-    p_solve.add_argument(
-        "--check",
-        action="store_true",
-        help="re-derive the answer with the brute-force oracle; exit 3 on mismatch",
-    )
-    p_solve.add_argument(
-        "--bound",
-        type=_positive_int,
-        help="override the derived search box for --check (required when the "
-        "invariant is zero)",
-    )
-    p_solve.set_defaults(handler=_cmd_solve, parser=p_solve)
-
-    p_inv = sub.add_parser("invariants", help="print k, i, delta_q, m")
-    _add_conic_arguments(p_inv)
-    p_inv.set_defaults(handler=_cmd_invariants, parser=p_inv)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="brute-force search within a box, independent of the solver"
-    )
-    _add_conic_arguments(p_oracle)
-    p_oracle.add_argument(
-        "--bound",
-        type=_positive_int,
-        help="half-width of the square search box (defaults to the derived bound)",
-    )
-    p_oracle.set_defaults(handler=_cmd_oracle, parser=p_oracle)
-
-    p_t1 = sub.add_parser(
-        "theorem1",
-        help="closed-form point family for monic unit-k conics with invariant 2^n",
-    )
-    for name in ("beta", "delta", "epsilon", "n"):
-        p_t1.add_argument(name, type=_int_arg)
-    p_t1.set_defaults(handler=_cmd_theorem1, parser=p_t1)
-
-    p_sum = sub.add_parser("sumform", help="solve l^2*x^2 - m^2*y^2 + j = 0")
-    for name in ("l", "m", "j"):
-        p_sum.add_argument(name, type=_int_arg)
-    p_sum.set_defaults(handler=_cmd_sumform, parser=p_sum)
-
-    for p in (p_solve, p_inv, p_oracle, p_t1, p_sum):
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output format (default: text)",
-        )
-
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, parser=p)
+        if command is None or command == name:
+            for flags, options in (*arguments, _FORMAT_ARGUMENT):
+                p.add_argument(*flags, **options)
     return parser
 
 
@@ -383,13 +378,15 @@ def main(argv: list[str] | None = None) -> int:
     # paused the same way: all that main builds, the parser's cycles too,
     # lives until it returns, so a collection during the call frees nothing
     # and only promotes those cycles to where a later full collection costs
-    # milliseconds.
+    # milliseconds.  Each call builds the whole subcommand table but only
+    # the named subcommand's arguments, which is all argparse reads.
     limit = sys.get_int_max_str_digits()
     collecting = gc.isenabled()
     sys.set_int_max_str_digits(0)
     gc.disable()
     try:
-        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         args = parser.parse_args(argv)
         try:
             args.handler(args)

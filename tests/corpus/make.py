@@ -22,8 +22,11 @@ that raises is one more differing call, and regenerating names it and
 leaves the file as it was.  The calls come from fixed lists, seeds and
 budgets, so the file changes only when the bytes or a budget do.
 Left out: the root --help, whose subcommand column Python 3.13 lays out
-differently from 3.10-3.12; exit 3, which needs a tampered solver; and
---input on a nesting too deep to parse, a generated 200 KB file.
+differently from 3.10-3.12 (test_cli.py's
+test_named_arguments_parser_matches_the_full_one checks it, on each
+interpreter, against a parser with every subcommand's arguments); exit 3,
+which needs a tampered solver; and --input on a nesting too deep to parse,
+a generated 200 KB file.
 """
 
 import argparse

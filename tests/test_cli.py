@@ -367,3 +367,34 @@ def test_main_is_reentrant(capsys):
         for argv in calls
     ]
     assert in_process == [(p.returncode, p.stdout, p.stderr) for p in alone]
+
+
+def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
+    # main adds only the named subcommand's arguments; each call must print
+    # what it prints with all five built, on the interpreter running this
+    # (the root help, which calls.jsonl leaves out, included)
+    import conicpoints.cli as cli_mod
+
+    calls = [
+        ["--help"],
+        ["-h"],
+        ["-h", "solve"],
+        ["bogus", "1"],
+        ["sol", "1"],
+        ["--format", "json", "solve", "1", "2", "3", "4", "5", "6"],
+        ["solve", "--he"],
+        ["solve", "-x", "1"],
+        ["solve", "--", "1"],
+        *([name, "--help"] for name in cli_mod._COMMANDS),
+        ["solve", "--bound", "0", "--check", *GOLDEN_ARGS],
+        ["invariants", "1.5", *GOLDEN_ARGS[1:]],
+        ["oracle", "--format", "xml", *GOLDEN_ARGS],
+        ["theorem1", "1", "2"],
+        ["sumform", "1", "2", "x"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    named = [run_cli(capsys, *argv) for argv in calls]
+    full = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full())
+    assert named == [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in named] == [0, 0, 0, 2, 2, 2, 0, 2, 2] + [0] * 5 + [2] * 5
