@@ -29,8 +29,8 @@ from operator import eq
 
 from .conic import Conic, Invariants, invariants_of, validate
 from .errors import _int_text
-from .intmath import POINT_BUDGET
-from .oracle import ROW_BUDGET, SearchBound, brute_force, solution_bound
+from .intmath import POINT_BUDGET, POINT_WORD
+from .oracle import ROW_BUDGET, SearchBound, brute_force, row_charge, solution_bound
 from .solver import (
     FiniteSolutions,
     ParamLine,
@@ -177,8 +177,9 @@ def _oracle_scan(args, conic: Conic, inv: Invariants) -> tuple[SearchBound, list
     """The square --bound box, else the derived box, and brute_force's points
     in it.  Refused before any row is scanned: with exit 4 for a degenerate
     conic without --bound, and with exit 5 for a box with more rows than the
-    oracle's row budget or, for a line pair, room for more points than its
-    point budget."""
+    oracle's row budget, or rows charged past it by the size of disc
+    (row_charge), or, for a line pair, room for more points than its point
+    budget."""
     if args.bound is not None:
         bound = SearchBound(bx=args.bound, by=args.bound)
     elif inv.big_i != 0:
@@ -186,8 +187,14 @@ def _oracle_scan(args, conic: Conic, inv: Invariants) -> tuple[SearchBound, list
     else:
         raise _Refused(4, "degenerate conic (invariant 0) has no finite search box; give --bound")
     rows = 2 * bound.by + 1
+    bits, charge = row_charge(conic, bound)
     if rows > ROW_BUDGET:
         what = f"{_int_text(rows)} rows, over the oracle row budget of {ROW_BUDGET}"
+    elif charge > ROW_BUDGET:
+        what = (
+            f"{rows} rows with discriminants of up to {bits} bits, {charge} in "
+            f"{POINT_WORD}-bit words, over the oracle row budget of {ROW_BUDGET}"
+        )
     elif inv.big_i == 0 and 2 * rows > POINT_BUDGET:
         what = f"room for {2 * rows} points, over the oracle point budget of {POINT_BUDGET}"
     else:

@@ -14,16 +14,16 @@ from typing import NamedTuple
 
 from .conic import Conic, Invariants, LatticePoint, invariants_of, validate
 from .errors import DegenerateAlpha
-from .intmath import ceil_div, positive_divisors
+from .intmath import POINT_WORD, ceil_div, positive_divisors
 
 
-# Rows (2*by + 1) the CLI lets the oracle scan; larger boxes are refused with
-# exit code 5.  The slowest finite box at small coefficients is one whose
-# rows the sieve never strikes, `oracle --bound 2097151 1 3 2 0 -M -M` with
-# M = 14757354782123793840 the product of the sieve moduli: 1.5-2.4 s of
-# CPU time and a 130 KiB tracemalloc peak in brute_force at 2^22 rows on a
-# 2-vCPU x86-64 machine with Python 3.11.  The budget bounds rows, not the
-# work in a row, which grows with the digits of disc.
+# Rows (2*by + 1) the CLI lets the oracle scan, each charged once per started
+# POINT_WORD bits of a bound on disc over the box (row_charge); larger boxes
+# are refused with exit code 5.  The slowest finite box at small
+# coefficients is one whose rows the sieve never strikes, `oracle --bound
+# 2097151 1 3 2 0 -M -M` with M = 14757354782123793840 the product of the
+# sieve moduli: 1.5-2.4 s of CPU time and a 130 KiB tracemalloc peak in
+# brute_force at 2^22 rows on a 2-vCPU x86-64 machine with Python 3.11.
 ROW_BUDGET = 1 << 22
 
 
@@ -104,6 +104,23 @@ def _sieve(p: int, q: int, r: int, y0: int, n: int, struck: dict[int, list[int]]
     return mask
 
 
+def _disc_coefficients(conic: Conic) -> tuple[int, int, int]:
+    """p, q and r of disc(y) = p*y^2 + q*y + r (see brute_force)."""
+    a, b, d = conic.alpha, conic.beta, conic.delta
+    return b * b - 4 * a * conic.gamma, 2 * b * d - 4 * a * conic.epsilon, d * d - 4 * a * conic.j
+
+
+def row_charge(conic: Conic, bound: SearchBound) -> tuple[int, int]:
+    """The bits of |p|*by^2 + |q|*by + |r|, which bounds |disc(y)| over the
+    box, and the box's charge: its rows, each counted once per started
+    POINT_WORD bits of that bound and at least once, since the work in a
+    row grows with the size of disc."""
+    p, q, r = _disc_coefficients(conic)
+    by = bound.by
+    bits = (abs(p) * by * by + abs(q) * by + abs(r)).bit_length()
+    return bits, (2 * by + 1) * max(1, ceil_div(bits, POINT_WORD))
+
+
 def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     """Every integral point with |x| <= bx and |y| <= by, sorted by (x, y).
 
@@ -137,9 +154,7 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     a, b, d = conic.alpha, conic.beta, conic.delta
     if a == 0:
         raise DegenerateAlpha("alpha must be nonzero")
-    p = b * b - 4 * a * conic.gamma
-    q = 2 * b * d - 4 * a * conic.epsilon
-    r = d * d - 4 * a * conic.j
+    p, q, r = _disc_coefficients(conic)
     lo, hi = -bound.by, bound.by
     two_a, bx = 2 * a, bound.bx
     new = tuple.__new__

@@ -40,11 +40,12 @@ import shlex
 import subprocess
 import sys
 import traceback
+from itertools import count
 from pathlib import Path
 
 from conicpoints import power_of_two_conic, random_valid_conic
 from conicpoints.cli import main
-from conicpoints.intmath import POINT_BUDGET
+from conicpoints.intmath import POINT_BUDGET, POINT_WORD
 from conicpoints.oracle import ROW_BUDGET
 
 HERE = Path(__file__).resolve().parent
@@ -65,6 +66,9 @@ LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
 # (3x + 3y + 1)(3x - 3y + 2): neither line holds a lattice point
 NO_POINTS = ["9", "0", "-9", "9", "3", "2"]
 PSI13 = 3317044064679887385961981
+# the product of the sieve moduli: disc is a square modulo each of them in
+# every row of 1 3 2 0 -M*t -M*t, so the oracle's sieve strikes no row
+SIEVE_M = 14757354782123793840
 
 
 def run(argv: list[str]) -> tuple[int | str, bytes, bytes]:
@@ -306,6 +310,18 @@ def calls() -> list[list[str]]:
         ),
         ["solve", *NO_POINTS],
         ["oracle", "--bound", str(points + 1), *GOLDEN],
+    ]
+    # the row charge's edge: 1 3 2 0 E E with E = -SIEVE_M*10^d and d the
+    # least for which disc's bound y^2 + 4|E|*y + 4|E| at the widest box of
+    # two words a row passes POINT_WORD bits; that box, then one row more
+    by = (ROW_BUDGET // 2 - 1) // 2
+    e = next(
+        e for e in (SIEVE_M * 10**d for d in count())
+        if (by * by + 4 * e * by + 4 * e).bit_length() > POINT_WORD
+    )
+    edges += [
+        ["oracle", "--bound", str(bound), "1", "3", "2", "0", str(-e), str(-e)]
+        for bound in (by, by + 1)
     ]
     # 10^2199: delta_q = 10^4398 - 4 has more digits than Python's default
     # int/str limit of 4,300, which main lifts
