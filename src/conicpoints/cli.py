@@ -362,7 +362,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command line's parser.  It lists every subcommand, so the root
     usage, help and invalid-choice error are whole, but adds only
     ``command``'s arguments, or every subcommand's when it is None: argparse
-    reads no subparser but the one named first."""
+    reads no subparser but the one named first, so the others get no
+    arguments, not even ``-h``."""
     parser = argparse.ArgumentParser(
         prog="conicpoints",
         description="Exact integral points on conics whose quadratic part "
@@ -370,9 +371,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, handler, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        named = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=named)
         p.set_defaults(handler=handler, parser=p)
-        if command is None or command == name:
+        if named:
             for flags, options in (*arguments, _FORMAT_ARGUMENT):
                 p.add_argument(*flags, **options)
     return parser
@@ -386,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     # lives until it returns, so a collection during the call frees nothing
     # and only promotes those cycles to where a later full collection costs
     # milliseconds.  Each call builds the whole subcommand table but only
-    # the named subcommand's arguments, which is all argparse reads.
+    # the named subcommand's arguments, which is all argparse reads: the
+    # other subparsers get none, not even -h.
     limit = sys.get_int_max_str_digits()
     collecting = gc.isenabled()
     sys.set_int_max_str_digits(0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
@@ -19,7 +20,7 @@ from conicpoints import (
     solve,
     validate,
 )
-from conicpoints.cli import _dump, _inv_block, main
+from conicpoints.cli import _dump, _inv_block, build_parser, main
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
 
@@ -415,10 +416,33 @@ def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
         ["oracle", "--format", "xml", *GOLDEN_ARGS],
         ["theorem1", "1", "2"],
         ["sumform", "1", "2", "x"],
+        ["solve", "oracle", "-h"],
+        ["invariants", "-h", "solve"],
+        ["theorem1", "sumform", "--help"],
+        ["oracle", "--he"],
     ]
     monkeypatch.setenv("COLUMNS", "80")
     named = [run_cli(capsys, *argv) for argv in calls]
     full = cli_mod.build_parser
     monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full())
     assert named == [run_cli(capsys, *argv) for argv in calls]
-    assert [code for code, _, _ in named] == [0, 0, 0, 2, 2, 2, 0, 2, 2] + [0] * 5 + [2] * 5
+    assert [code for code, _, _ in named] == (
+        [0, 0, 0, 2, 2, 2, 0, 2, 2] + [0] * 5 + [2] * 5 + [2, 0, 2, 0]
+    )
+
+
+def test_only_the_named_subparser_has_actions():
+    # argparse reads only the subparser named first, so build_parser(name)
+    # gives the other four no actions, not even -h; build_parser() gives
+    # all five their -h and their arguments
+    def actions(parser):
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {name: [a.dest for a in p._actions] for name, p in subparsers.choices.items()}
+
+    full = actions(build_parser())
+    assert list(full) == ["solve", "invariants", "oracle", "theorem1", "sumform"]
+    assert all(dests[0] == "help" and "format" in dests for dests in full.values())
+    for name in full:
+        assert actions(build_parser(name)) == {
+            other: dests if other == name else [] for other, dests in full.items()
+        }
