@@ -193,7 +193,7 @@ def _oracle_scan(args, conic: Conic, inv: Invariants) -> tuple[SearchBound, list
     elif charge > ROW_BUDGET:
         what = (
             f"{rows} rows with discriminants of up to {bits} bits, {charge} in "
-            f"{POINT_WORD}-bit words, over the oracle row budget of {ROW_BUDGET}"
+            f"squared {POINT_WORD}-bit words, over the oracle row budget of {ROW_BUDGET}"
         )
     elif inv.big_i == 0 and 2 * rows > POINT_BUDGET:
         what = f"room for {2 * rows} points, over the oracle point budget of {POINT_BUDGET}"

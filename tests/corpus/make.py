@@ -313,8 +313,9 @@ def calls() -> list[list[str]]:
     ]
     # the row charge's edge: 1 3 2 0 E E with E = -SIEVE_M*10^d and d the
     # least for which disc's bound y^2 + 4|E|*y + 4|E| at the widest box of
-    # two words a row passes POINT_WORD bits; that box, then one row more
-    by = (ROW_BUDGET // 2 - 1) // 2
+    # two words a row, charged 2^2, passes POINT_WORD bits; that box, then
+    # one row more
+    by = (ROW_BUDGET // 2**2 - 1) // 2
     e = next(
         e for e in (SIEVE_M * 10**d for d in count())
         if (by * by + 4 * e * by + 4 * e).bit_length() > POINT_WORD

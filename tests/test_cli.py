@@ -98,23 +98,24 @@ def test_oracle_row_budget_edge_slowest_finite_box(capsys):
 
 def test_oracle_row_budget_edge_charged_by_word_size(capsys):
     """E = -M*10^129, with M as above: disc's bound y^2 + 4|E|*y + 4|E|
-    passes POINT_WORD = 512 bits over the box, so each row is charged two
-    words.  The widest box the charge admits, half the rows of the budget,
-    answers within the same CPU ceiling; one more row is refused at once."""
+    passes POINT_WORD = 512 bits over the box, so each row is charged the
+    square of two words.  The widest box the charge admits, a quarter of the
+    rows of the budget, answers within the same CPU ceiling; one more row is
+    refused at once."""
     e = str(-14757354782123793840 * 10**129)
     conic_args = ["1", "3", "2", "0", e, e]
     start = time.process_time()
-    code, out, err = run_cli(capsys, "oracle", "--bound", "1048575", *conic_args)
+    code, out, err = run_cli(capsys, "oracle", "--bound", "524287", *conic_args)
     elapsed = time.process_time() - start
     assert (code, out, err) == (0, "1 -1\n2 -1\n", "")
     assert elapsed < 5
     start = time.process_time()
-    code, out, err = run_cli(capsys, "oracle", "--bound", "1048576", *conic_args)
+    code, out, err = run_cli(capsys, "oracle", "--bound", "524288", *conic_args)
     elapsed = time.process_time() - start
     assert (code, out) == (5, "")
     assert err == (
-        "error: search box (bx=1048576, by=1048576) has 2097153 rows with "
-        "discriminants of up to 515 bits, 4194306 in 512-bit words, "
+        "error: search box (bx=524288, by=524288) has 1048577 rows with "
+        "discriminants of up to 514 bits, 4194308 in squared 512-bit words, "
         "over the oracle row budget of 4194304\n"
     )
     assert elapsed < 0.1
