@@ -17,8 +17,8 @@ from .errors import DegenerateAlpha
 from .intmath import POINT_WORD, ceil_div, positive_divisors
 
 
-# Rows (2*by + 1) the CLI lets the oracle scan, each charged by the square of
-# the started POINT_WORD bits of a bound on disc over the box (row_charge);
+# Rows (2*by + 1) the CLI lets the oracle scan, each charged the square of the
+# started POINT_WORD-bit words of a bound on disc over the box (row_charge);
 # larger boxes are refused with exit code 5.  The slowest finite box at small
 # coefficients is one whose rows the sieve never strikes, `oracle --bound
 # 2097151 1 3 2 0 -M -M` with M = 14757354782123793840 the product of the
@@ -112,9 +112,9 @@ def _disc_coefficients(conic: Conic) -> tuple[int, int, int]:
 
 def row_charge(conic: Conic, bound: SearchBound) -> tuple[int, int]:
     """The bits of |p|*by^2 + |q|*by + |r|, which bounds |disc(y)| over the
-    box, and the box's charge: its rows, each counted by the square of the
-    started POINT_WORD bits of that bound and at least once, since a row's
-    square root grows faster than linearly with the size of disc."""
+    box, and the box's charge: its rows, each counted the square of the
+    started POINT_WORD-bit words of that bound and at least once, since a
+    row's square root grows faster than linearly with the size of disc."""
     p, q, r = _disc_coefficients(conic)
     by = bound.by
     bits = (abs(p) * by * by + abs(q) * by + abs(r)).bit_length()
