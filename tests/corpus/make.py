@@ -268,6 +268,12 @@ def calls() -> list[list[str]]:
         # 5: a box past 2^14000 is named by its size, so stderr stays short
         ["oracle", "--bound", str(2**14000), *GOLDEN],
         ["solve", "--check", "--bound", str(2**14000), *LINES],
+        # 2: the root parser's "unrecognized arguments" after a named
+        # subcommand; the last reads a second subcommand's name as a
+        # coefficient
+        ["solve", "-x", "1"],
+        ["sumform", "1", "1", "-13", "theorem1"],
+        ["oracle", "sumform"],
     ]
     # digits20/4 among them: ECM splits off a 15-digit prime
     with open(OVERCAP, encoding="utf-8") as fh:
