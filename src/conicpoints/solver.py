@@ -156,7 +156,7 @@ def solve_finite(
     divisors = positive_divisors(target)
     size = abs(target)  # d, e <= size: |x| <= (|kx| + |u|) / |det|, y likewise
     bound = max(abs(kx) + (abs(b1) + abs(b2)) * size, abs(ky) + (abs(a1) + abs(a2)) * size)
-    check_point_budget(2 * len(divisors), (bound // abs(det)).bit_length(), "|{}|", target)
+    check_point_budget(2 * len(divisors), (bound // abs(det)).bit_length(), "|{}|", size)
     plus, minus = [], []
     new = tuple.__new__  # skips the Python-level LatticePoint.__new__
     if det == 1 or det == -1:

@@ -388,20 +388,24 @@ def test_solve_point_size_budget_refuses_before_the_divisor_list():
 
 
 def test_solve_point_size_budget_refuses_before_the_cramer_loop():
-    # the target 3*5*...*61 is at the point budget with small points, but
-    # delta near 10^1000 makes every point about 3,300 bits long
-    target = math.prod(SMALL_PRIMES_TO_61) // 2
+    # the target +-3*5*...*61 is at the point budget with small points, but
+    # delta near 10^1000 makes every point about 3,300 bits long; the
+    # refusal names |target| whatever its sign
+    size = math.prod(SMALL_PRIMES_TO_61) // 2
     beta, delta, epsilon = 3, 10**1000, 7
     m0 = 2 * epsilon - beta * delta
-    conic, inv = validate(1, beta, 2, delta, epsilon, (delta * delta - m0 * m0 - 4 * target) // 4)
-    assert inv.big_i == 4 * target
-    start = time.process_time()
-    with pytest.raises(
-        DivisorLimitExceeded,
-        match=f"^\\|{target}\\| has 131072 divisors, 262144 signed points of up to 3324 bits",
-    ):
-        solve(conic)
-    assert time.process_time() - start < 0.5
+    for target in (size, -size):
+        conic, inv = validate(
+            1, beta, 2, delta, epsilon, (delta * delta - m0 * m0 - 4 * target) // 4
+        )
+        assert inv.big_i == 4 * target
+        start = time.process_time()
+        with pytest.raises(
+            DivisorLimitExceeded,
+            match=f"^\\|{size}\\| has 131072 divisors, 262144 signed points of up to 3324 bits",
+        ):
+            solve(conic)
+        assert time.process_time() - start < 0.5
 
 
 def test_solve_finite_bounds_the_bits_of_its_points(monkeypatch):
