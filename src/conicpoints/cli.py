@@ -359,11 +359,10 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line's parser.  It lists every subcommand, so the root
-    usage, help and invalid-choice error are whole, but adds only
-    ``command``'s arguments, or every subcommand's when it is None: argparse
-    reads no subparser but the one named first, so the others get no
-    arguments, not even ``-h``."""
+    """The command line's parser, with only ``command``'s subparser, or all
+    five when it is None: argparse reads no subparser but the one named
+    first.  A root-level argv (none named) gets all five, so the root
+    usage, help and invalid-choice error are whole."""
     parser = argparse.ArgumentParser(
         prog="conicpoints",
         description="Exact integral points on conics whose quadratic part "
@@ -371,10 +370,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, handler, arguments) in _COMMANDS.items():
-        named = command is None or command == name
-        p = sub.add_parser(name, help=help_text, add_help=named)
-        p.set_defaults(handler=handler, parser=p)
-        if named:
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(handler=handler, parser=p)
             for flags, options in (*arguments, _FORMAT_ARGUMENT):
                 p.add_argument(*flags, **options)
     return parser
@@ -387,9 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     # paused the same way: all that main builds, the parser's cycles too,
     # lives until it returns, so a collection during the call frees nothing
     # and only promotes those cycles to where a later full collection costs
-    # milliseconds.  Each call builds the whole subcommand table but only
-    # the named subcommand's arguments, which is all argparse reads: the
-    # other subparsers get none, not even -h.
+    # milliseconds.  Each call registers only the subcommand named first,
+    # the one subparser argparse reads, or all five when none is named.
     limit = sys.get_int_max_str_digits()
     collecting = gc.isenabled()
     sys.set_int_max_str_digits(0)

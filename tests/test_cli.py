@@ -396,8 +396,8 @@ def test_main_is_reentrant(capsys):
 
 
 def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
-    # main adds only the named subcommand's arguments; each call must print
-    # what it prints with all five built, on the interpreter running this
+    # main registers only the named subcommand; each call must print what
+    # it prints with all five built, on the interpreter running this
     # (the root help, which calls.jsonl leaves out, included)
     import conicpoints.cli as cli_mod
 
@@ -421,6 +421,9 @@ def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
         ["invariants", "-h", "solve"],
         ["theorem1", "sumform", "--help"],
         ["oracle", "--he"],
+        ["solve", "--bound", "3", "invariants"],
+        ["invariants", *GOLDEN_ARGS, "--check"],
+        ["theorem1", "3", "0", "1", "4", "-x"],
     ]
     monkeypatch.setenv("COLUMNS", "80")
     named = [run_cli(capsys, *argv) for argv in calls]
@@ -428,14 +431,14 @@ def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full())
     assert named == [run_cli(capsys, *argv) for argv in calls]
     assert [code for code, _, _ in named] == (
-        [0, 0, 0, 2, 2, 2, 0, 2, 2] + [0] * 5 + [2] * 5 + [2, 0, 2, 0]
+        [0, 0, 0, 2, 2, 2, 0, 2, 2] + [0] * 5 + [2] * 5 + [2, 0, 2, 0] + [2] * 3
     )
 
 
-def test_only_the_named_subparser_has_actions():
+def test_only_the_named_subparser_is_registered():
     # argparse reads only the subparser named first, so build_parser(name)
-    # gives the other four no actions, not even -h; build_parser() gives
-    # all five their -h and their arguments
+    # registers only name, with the arguments build_parser() gives it;
+    # build_parser() registers all five, each with -h
     def actions(parser):
         (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         return {name: [a.dest for a in p._actions] for name, p in subparsers.choices.items()}
@@ -444,6 +447,4 @@ def test_only_the_named_subparser_has_actions():
     assert list(full) == ["solve", "invariants", "oracle", "theorem1", "sumform"]
     assert all(dests[0] == "help" and "format" in dests for dests in full.values())
     for name in full:
-        assert actions(build_parser(name)) == {
-            other: dests if other == name else [] for other, dests in full.items()
-        }
+        assert actions(build_parser(name)) == {name: full[name]}
