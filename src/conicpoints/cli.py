@@ -359,9 +359,8 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line's parser, with only ``command``'s subparser, or all
-    five when it is None: argparse reads no subparser but the one named
-    first.  A root-level argv (none named) gets all five, so the root
+    """The command line's parser, with only ``command``'s subparser, the
+    one argparse reads, or all five when it is None, so that the root
     usage, help and invalid-choice error are whole."""
     parser = argparse.ArgumentParser(
         prog="conicpoints",
