@@ -55,10 +55,9 @@ POINT_WORD = 512
 # prime is proven where the factoring reaches it, on the same meter, and
 # one the proof shows composite, at the top or inside another proof, is
 # split like any other.  The benchmark's over-cap targets that are answered
-# spend at most 4,051,766 units (digits20/15, 0.6-0.8 s).  Running the
-# budget out took 0.39-1.08 s on semiprimes of 122 to 800 bits, on
-# 2*r*s + 1 and on the over-cap targets refused; the worst are the 122-bit
-# semiprime, the two primes near 10^23 and digits20/11.
+# spend at most 4,051,766 units (digits20/15), and the refusals that
+# tests/test_intmath.py times (semiprimes of 129 to 1,326 bits, 2*r*s + 1)
+# 3,961,281-4,633,606 on any host, in 0.50-1.53 s (best of six runs each).
 _BUDGET = 9 << 19
 
 # Trial division by the primes below 2^10 comes first.  What is left has no
@@ -166,13 +165,27 @@ def _charge(n: int, products: int) -> int:
     return ceil_div(products * max(48, 23 + words * words), 48)
 
 
-def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
-    """A proper factor of the odd composite ``n`` and the budget left.
+class _Meter:
+    """The factoring budget of one positive_divisors call: the units left."""
+
+    def __init__(self, left: int) -> None:
+        self.left = left
+
+    def spend(self, cost: int) -> bool:
+        """Take ``cost`` units, or take none and return False if fewer are left."""
+        if cost > self.left:
+            return False
+        self.left -= cost
+        return True
+
+
+def _rho_split(n: int, meter: _Meter, floor: int) -> int | None:
+    """A proper factor of the odd composite ``n``, or None.
 
     Pollard's rho with Brent's cycle finding (Brent 1980), made
     deterministic: start at 2 with f(x) = x^2 + c, taking c = 1, 2, ... in
     turn whenever the cycle closes modulo n itself (g == n).  A round that
-    could take the work spent past ``budget`` is not started; the factor
+    could take ``meter`` below ``floor`` units is not started; the factor
     is then None.  Each product modulo n is charged as _charge(n, products)
     gives: a round of r steps does r products while y runs ahead, two a step
     (y*y + c and q*(x - y)) while q gathers x - y, and one a step of a
@@ -183,8 +196,8 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
         c += 1
         y, q, g, r = 2, 1, 1, 1
         while g == 1:
-            if _charge(n, 4 * r) > budget:
-                return None, budget
+            if _charge(n, 4 * r) > meter.left - floor:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -203,10 +216,10 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
                     ys = (ys * ys + c) % n
                     g = math.gcd(x - ys, n)
                     replayed += 1
-            budget -= _charge(n, r + 2 * min(k, r) + replayed)
+            meter.left -= _charge(n, r + 2 * min(k, r) + replayed)
             r *= 2
         if g != n:
-            return g, budget
+            return g
 
 
 def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
@@ -303,17 +316,17 @@ def _ecm_stage2(
     return acc
 
 
-def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
-    """A proper factor of the odd composite ``n`` and the budget left.
+def _ecm_split(n: int, meter: _Meter) -> int | None:
+    """A proper factor of the odd composite ``n``, or None.
 
     Lenstra's elliptic-curve method (Ann. Math. 126, 1987) on Montgomery's
     x-only curves (Math. Comp. 48, 1987), made deterministic: Suyama's
     curves sigma = 6, 7, ..., for each stage (B1, curves) of _ECM_STAGES
     stage 1 as one ladder over the product of the prime powers up to B1,
     stage 2 on every prime up to _ECM_B2 * B1 in giant steps of _ECM_D.
-    A stage that could take the work spent past ``budget`` is not started;
+    A stage that could take more than ``meter`` has left is not started;
     the factor is then None.  The last stage has no curve count: it runs
-    until the budget refuses a curve.  Each product modulo n is charged as
+    until the meter refuses a curve.  Each product modulo n is charged as
     _charge(n, products) gives.
     """
     sigma = 5
@@ -331,9 +344,8 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
         )
         for _ in range(curves) if curves else count():
             sigma += 1
-            if cost1 > budget:
-                return None, budget
-            budget -= cost1
+            if not meter.spend(cost1):
+                return None
             # Suyama: x = u^3 / v^3 and a24 = (v - u)^3 (3u + v) / (16 u^3 v),
             # both from the one inverse of 16 u^3 v^4
             u, v = sigma * sigma - 5, 4 * sigma
@@ -345,12 +357,11 @@ def _ecm_split(n: int, budget: int) -> tuple[int | None, int]:
                 x, z, _, _ = _ladder(k, 16 * u**6 * v * w % n, 1, a24, n)
                 g = math.gcd(z, n)
             if g == 1:
-                if cost2 > budget:
-                    return None, budget
-                budget -= cost2
+                if not meter.spend(cost2):
+                    return None
                 g = math.gcd(_ecm_stage2(x, z, a24, n, b1, babies, table), n)
             if g != 1 and g != n:
-                return g, budget
+                return g
 
 
 def _strip_small(n: int, factors: dict[int, int]) -> list[tuple[int, int]]:
@@ -395,75 +406,66 @@ def _kth_root(n: int, k: int) -> int:
         x = y
 
 
-def _power_root(m: int, budget: int) -> tuple[int | None, int, int]:
-    """(r, k, the budget left) with r^k == m for the least prime k that has
-    one, (m, 1, ...) when m is no perfect power, or (None, 1, ...) when the
-    test is over ``budget``.  ``m`` has no prime factor below 2^10, so r > 2^10
+def _power_root(m: int, meter: _Meter) -> tuple[int | None, int]:
+    """(r, k) with r^k == m for the least prime k that has one, (m, 1) when
+    m is no perfect power, or (None, 1) when the test is over what
+    ``meter`` has left.  ``m`` has no prime factor below 2^10, so r > 2^10
     and only the primes k <= bits/10 need a test; the test of each k is
     charged _ROOT_UNITS units and _ROOT_PRODUCTS products modulo m."""
     ks = _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, m.bit_length() // 10)]
-    cost = len(ks) * (_ROOT_UNITS + _charge(m, _ROOT_PRODUCTS))
-    if cost > budget:
-        return None, 1, budget
-    budget -= cost
+    if not meter.spend(len(ks) * (_ROOT_UNITS + _charge(m, _ROOT_PRODUCTS))):
+        return None, 1
     for k in ks:
         r = _kth_root(m, k)
         if r**k == m:
-            return r, k, budget
-    return m, 1, budget
+            return r, k
+    return m, 1
 
 
-def _piece(pending: list[tuple[int, int]], budget: int) -> tuple[int, int, str | None, int]:
+def _piece(pending: list[tuple[int, int]], meter: _Meter) -> tuple[int, int, str | None]:
     """Pop cofactors (m, e) off ``pending``, each with no prime below 2^10
     and counted e times, pushing the root r of each perfect power r^k
     (counted e*k times) and both parts of each split, until one is not
-    split: return (m, e, why, the budget left).
+    split: return (m, e, why).
 
     A probable prime at or above psi_13 is proven where it is found
     (_proven); one that the proof shows composite goes on to the root test,
-    rho and ECM like any other composite.  Rho may spend a ninth of the
-    budget left, ECM all that rho leaves.  ``why`` is None for a proven
-    prime, else the reason m is refused: "a probable prime, not proven" for
-    one at or above psi_13 not proven within the budget, "composite, not
-    split" for one neither a perfect power nor split, and "untested, not
-    split" for one at or above psi_13 whose Miller-Rabin test, charged
-    before it runs, is over the budget.
+    rho and ECM like any other composite.  Rho may spend a ninth of what
+    ``meter`` has left, ECM all that rho leaves.  ``why`` is None for a
+    proven prime, else the reason m is refused: "a probable prime, not
+    proven" for one at or above psi_13 not proven within the budget,
+    "composite, not split" for one neither a perfect power nor split, and
+    "untested, not split" for one at or above psi_13 whose Miller-Rabin
+    test, charged before it runs, is over the budget.
     """
     while True:
         m, e = pending.pop()
         if m < _SMALL_LIMIT * _SMALL_LIMIT or (m < _PSI_13 and is_prime(m)):
-            return m, e, None, budget
+            return m, e, None
         if m >= _PSI_13:
-            cost = _charge(m, len(_MR_WITNESSES) * m.bit_length())
-            if cost > budget:
-                return m, e, "untested, not split", budget
-            budget -= cost
+            if not meter.spend(_charge(m, len(_MR_WITNESSES) * m.bit_length())):
+                return m, e, "untested, not split"
             if is_prime(m):
-                proven, budget = _proven(m, budget)
+                proven = _proven(m, meter)
                 if proven is None:
-                    return m, e, "a probable prime, not proven", budget
+                    return m, e, "a probable prime, not proven"
                 if proven:
-                    return m, e, None, budget
-        r, k, budget = _power_root(m, budget)
+                    return m, e, None
+        r, k = _power_root(m, meter)
         if r is None:
-            return m, e, "composite, not split", budget
+            return m, e, "composite, not split"
         if k > 1:
             pending.append((r, e * k))
             continue
-        share = budget // 9
-        d, left = _rho_split(m, share)
-        budget += left - share
+        d = _rho_split(m, meter, meter.left - meter.left // 9) or _ecm_split(m, meter)
         if d is None:
-            d, budget = _ecm_split(m, budget)
-        if d is None:
-            return m, e, "composite, not split", budget
+            return m, e, "composite, not split"
         pending += ((d, e), (m // d, e))
 
 
-def _proven(n: int, budget: int) -> tuple[bool | None, int]:
-    """Whether the probable prime ``n`` is prime, and the budget left: True
-    when proven, False when shown composite and None when the budget ran
-    out first.
+def _proven(n: int, meter: _Meter) -> bool | None:
+    """Whether the probable prime ``n`` is prime: True when proven, False
+    when shown composite and None when ``meter`` ran out first.
 
     Pocklington's theorem as Brillhart, Lehmer & Selfridge give it (Math.
     Comp. 29, 1975): let F divide n - 1 with F^2 > n, and for each prime q
@@ -480,8 +482,8 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
     pending = _strip_small(n - 1, f)
     while math.prod(p**e for p, e in f.items()) ** 2 <= n:
         if not pending:
-            return None, budget
-        m, e, why, budget = _piece(pending, budget)
+            return None
+        m, e, why = _piece(pending, meter)
         # a cofactor not split or not proven stays out of F
         if why is None:
             f[m] = f.get(m, 0) + e
@@ -489,35 +491,33 @@ def _proven(n: int, budget: int) -> tuple[bool | None, int]:
         e = (n - 1) // q
         cost = _charge(n, e.bit_length() + q.bit_length())
         for a in count(2):
-            if cost > budget:
-                return None, budget
-            budget -= cost
+            if not meter.spend(cost):
+                return None
             y = pow(a, e, n)
             if pow(y, q, n) != 1:
-                return False, budget
+                return False
             g = math.gcd(y - 1, n)
             if g == 1:
                 break
             if g != n:
-                return False, budget
-    return True, budget
+                return False
+    return True
 
 
-def _factorize(n: int) -> dict[int, int]:
+def _factorize(n: int, meter: _Meter) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1.
 
     Trial division, then _piece on what is left: a perfect-power test, rho
     and ECM on the composite cofactors, and a Pocklington proof (_proven)
     of each probable prime at or above psi_13 where it is found.  All of it
-    draws on one meter of _BUDGET units.  Past it DivisorLimitExceeded is
+    draws on ``meter``, of _BUDGET units.  Past them DivisorLimitExceeded is
     raised as "the cofactor m of n is <why> within _BUDGET units", with
     _piece's reason, so no factorization ever rests on an unproven prime.
     """
     factors: dict[int, int] = {}
-    budget = _BUDGET
     pending = _strip_small(n, factors)
     while pending:
-        m, e, why, budget = _piece(pending, budget)
+        m, e, why = _piece(pending, meter)
         if why is not None:
             raise DivisorLimitExceeded(
                 f"the cofactor {_int_text(m)} of {_int_text(n)} is {why} "
@@ -561,7 +561,7 @@ def positive_divisors(n: int) -> list[int]:
     if n == 0:
         raise ValueError("0 has no finite divisor list")
     n = abs(n)
-    factors = _factorize(n)
+    factors = _factorize(n, _Meter(_BUDGET))
     tau = math.prod(e + 1 for e in factors.values())
     check_point_budget(2 * tau, n.bit_length(), "|{}|", n)
     divisors = [1]

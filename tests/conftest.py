@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conicpoints import intmath
+
 
 @pytest.fixture
 def default_int_str_limit():
@@ -14,3 +16,20 @@ def default_int_str_limit():
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def factoring_units(monkeypatch):
+    """The units each intmath._factorize call spends, read off its meter
+    when it returns or raises, in call order."""
+    factorize = intmath._factorize
+    spent = []
+
+    def recording(n, meter):
+        try:
+            return factorize(n, meter)
+        finally:
+            spent.append(intmath._BUDGET - meter.left)
+
+    monkeypatch.setattr(intmath, "_factorize", recording)
+    return spent

@@ -175,7 +175,7 @@ def test_positive_divisors_hard_composites():
     assert not any(map(is_prime, (0, 1, -7)))
 
 
-def test_positive_divisors_splits_psi12():
+def test_positive_divisors_splits_psi12(factoring_units):
     # psi_12 passes Miller-Rabin to every base 2..37, base 41 shows it
     # composite, and ECM splits it once rho's ninth of the budget runs out.
     psi12 = 318665857834031151167461
@@ -186,9 +186,10 @@ def test_positive_divisors_splits_psi12():
         798330580441,
         psi12,
     ]
+    assert factoring_units == [440992]
 
 
-def test_positive_divisors_splits_psi13(monkeypatch):
+def test_positive_divisors_splits_psi13(monkeypatch, factoring_units):
     # psi_13 passes Miller-Rabin to every base 2..41, so it is taken for a
     # probable prime and proven at once, before rho searches it;
     # Pocklington's test shows it composite (base 43 fails Fermat), and only
@@ -198,13 +199,13 @@ def test_positive_divisors_splits_psi13(monkeypatch):
     rho_split, proven = intmath._rho_split, intmath._proven
     composite = []
 
-    def rho_after_the_proof(n, budget):
+    def rho_after_the_proof(n, meter, floor):
         assert n != psi13 or psi13 in composite
-        return rho_split(n, budget)
+        return rho_split(n, meter, floor)
 
-    def recording(n, budget):
-        result = proven(n, budget)
-        if result[0] is False:
+    def recording(n, meter):
+        result = proven(n, meter)
+        if result is False:
             composite.append(n)
         return result
 
@@ -214,6 +215,7 @@ def test_positive_divisors_splits_psi13(monkeypatch):
     assert positive_divisors(psi13) == [1, 1287836182261, 2575672364521, psi13]
     assert time.process_time() - start < 2
     assert composite == [psi13]
+    assert factoring_units == [1025230]
 
 
 def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
@@ -224,24 +226,25 @@ def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
     proven, rho_split, ecm_split = intmath._proven, intmath._rho_split, intmath._ecm_split
     outcomes, splits = [], []
 
-    def recording_proof(n, budget):
-        result = proven(n, budget)
-        outcomes.append((n, result[0]))
+    def recording_proof(n, meter):
+        result = proven(n, meter)
+        outcomes.append((n, result))
         return result
 
     def recording(split):
-        def wrapped(n, budget):
-            d, left = split(n, budget)
+        def wrapped(n, meter, *floor):
+            d = split(n, meter, *floor)
             if d is not None:
                 splits.append(n)
-            return d, left
+            return d
 
         return wrapped
 
     monkeypatch.setattr(intmath, "_proven", recording_proof)
     monkeypatch.setattr(intmath, "_rho_split", recording(rho_split))
     monkeypatch.setattr(intmath, "_ecm_split", recording(ecm_split))
-    assert intmath._factorize(psi13**2) == {1287836182261: 2, 2575672364521: 2}
+    meter = intmath._Meter(intmath._BUDGET)
+    assert intmath._factorize(psi13**2, meter) == {1287836182261: 2, 2575672364521: 2}
     assert outcomes == [(psi13, False)]
     # (the proof splits cofactors of psi_13 - 1 too)
     assert splits.count(psi13) == 1
@@ -256,7 +259,7 @@ def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
         monkeypatch.setattr(
             intmath,
             name,
-            lambda m, budget, split=split: (None, budget) if m == psi13 else split(m, budget),
+            lambda m, *args, split=split: None if m == psi13 else split(m, *args),
         )
     with pytest.raises(
         DivisorLimitExceeded, match=f"cofactor {psi13} of {psi13} is composite, not split within"
@@ -267,35 +270,37 @@ def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
 # The probable primes at or above psi_13 in the reduced targets of the
 # benchmark's over-cap slice (bench/overcap.json, digits20/0, 3, 4, 5, 6,
 # 9, 10, 13, 15, 16, 18 and 19), Mersenne primes, and one prime whose
-# n - 1 holds a large prime to a power.
-PROVABLE_PRIMES = [
-    129038938365214773537858908429,
-    386148255740571217985298156305067121,
-    735111315620892362126623507937917549,
-    94539164323298405962151003,
-    16781620828710807719053846029773,
-    73144303872081026854048727027,
-    3549008165196016535315079042642869,
-    289602684623632532634988882711259,
-    16371365327659034441337746863,
-    1959154286288724544332695962495292731,
-    233900143235098519725271622351827,
-    277833612854703090768662362249,
-    2**89 - 1,
-    2**107 - 1,
-    2**127 - 1,
+# n - 1 holds a large prime to a power, each with the units its test and
+# proof spend.
+PROVABLE_PRIMES = {
+    129038938365214773537858908429: 14097,
+    386148255740571217985298156305067121: 468987,
+    735111315620892362126623507937917549: 467702,
+    94539164323298405962151003: 176854,
+    16781620828710807719053846029773: 1436920,
+    73144303872081026854048727027: 49775,
+    3549008165196016535315079042642869: 5062,
+    289602684623632532634988882711259: 266928,
+    16371365327659034441337746863: 3326,
+    1959154286288724544332695962495292731: 1090708,
+    233900143235098519725271622351827: 164749,
+    277833612854703090768662362249: 2660,
+    2**89 - 1: 2687,
+    2**107 - 1: 22608,
+    2**127 - 1: 10009,
     # 2*q^3 + 1 with q = 1200000707: F = n - 1 = 2*q^3, whose F^2 > n
     # needs q at its full power
-    2 * 1200000707**3 + 1,
-]
+    2 * 1200000707**3 + 1: 2948,
+}
 
 
 @pytest.mark.parametrize("p", PROVABLE_PRIMES)
-def test_positive_divisors_proves_primes_above_psi13(p):
+def test_positive_divisors_proves_primes_above_psi13(p, factoring_units):
     assert p >= intmath._PSI_13
     start = time.process_time()
     assert positive_divisors(p) == [1, p]
     assert time.process_time() - start < 1
+    assert factoring_units == [PROVABLE_PRIMES[p]]
 
 
 def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
@@ -306,9 +311,9 @@ def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
     proven = intmath._proven
     calls = []
 
-    def recording(m, budget):
+    def recording(m, meter):
         calls.append(m)
-        return proven(m, budget)
+        return proven(m, meter)
 
     monkeypatch.setattr(intmath, "_proven", recording)
     assert positive_divisors(n) == [1, n]
@@ -318,10 +323,10 @@ def test_pocklington_proves_a_prime_of_f_first(monkeypatch):
 def test_pocklington_shows_composite_by_a_proper_gcd():
     # 2701 = 37 * 73 and 2700 = 2^2 * 3^3 * 5^2: a^2700 = 1 for a = 2, but
     # gcd(2^(2700/q) - 1, 2701) is a proper factor for some q of F
-    assert intmath._proven(2701, intmath._BUDGET)[0] is False
+    assert intmath._proven(2701, intmath._Meter(intmath._BUDGET)) is False
 
 
-def test_pocklington_splits_a_shown_composite_of_f():
+def test_pocklington_splits_a_shown_composite_of_f(factoring_units):
     # n - 1 = 2^4 * 3 * psi_13, and 48^2 < n, so F must include psi_13's
     # primes: the proof of n proves psi_13 composite and then splits it
     n = 48 * 3317044064679887385961981 + 1
@@ -329,9 +334,10 @@ def test_pocklington_splits_a_shown_composite_of_f():
     start = time.process_time()
     assert positive_divisors(n) == [1, n]
     assert time.process_time() - start < 2
+    assert factoring_units == [1027084]
 
 
-def test_positive_divisors_splits_rho_limit_semiprime():
+def test_positive_divisors_splits_rho_limit_semiprime(factoring_units):
     # rho runs out of its budget on this 22-digit product of two proven
     # primes near 4*10^10 and 9*10^10; ECM splits it
     p, q = 39072923041, 89193927323
@@ -339,6 +345,7 @@ def test_positive_divisors_splits_rho_limit_semiprime():
     start = time.process_time()
     assert positive_divisors(p * q) == [1, p, q, p * q]
     assert time.process_time() - start < 1
+    assert factoring_units == [740222]
 
 
 @pytest.mark.parametrize("k, cofactor", [(2, 1), (3, 1), (20, 1), (3, 10007)])
@@ -403,11 +410,13 @@ class _CountingModulus(int):
 def test_rho_charges_every_product(monkeypatch, n, budget, factor):
     # below 150 bits a product is one unit, so rho's charge is the number of
     # reductions modulo n it does: both products of each step, y*y + c and
-    # q*(x - y), and the replay's
+    # q*(x - y), and the replay's.  Rho may spend ``budget`` of a meter that
+    # holds twice that, and never takes it below the floor it is given
     monkeypatch.setattr(_CountingModulus, "reductions", 0)
-    found, left = intmath._rho_split(_CountingModulus(n), budget)
+    meter = intmath._Meter(2 * budget)
+    found = intmath._rho_split(_CountingModulus(n), meter, budget)
     assert found == factor
-    assert 0 <= left and budget - left == _CountingModulus.reductions
+    assert budget <= meter.left and 2 * budget - meter.left == _CountingModulus.reductions
 
 
 def test_positive_divisors_splits_ecm_semiprime():
@@ -420,9 +429,9 @@ def test_ecm_is_deterministic():
     # the same curves in the same order: the same factor for the same work,
     # the units _BUDGET's comment gives
     n = 39072923041 * 89193927323
-    factor, left = intmath._ecm_split(n, intmath._BUDGET)
-    assert (factor, intmath._BUDGET - left) == (89193927323, 346905)
-    assert intmath._ecm_split(n, intmath._BUDGET) == (factor, left)
+    first, again = intmath._Meter(intmath._BUDGET), intmath._Meter(intmath._BUDGET)
+    assert (intmath._ecm_split(n, first), intmath._BUDGET - first.left) == (89193927323, 346905)
+    assert intmath._ecm_split(n, again) == 89193927323 and again.left == first.left
 
 
 def _point_order(x, a24, p):
@@ -483,10 +492,10 @@ def _balanced_semiprime(bits):
 
 
 @pytest.mark.parametrize(
-    "n, outcome, ceiling",
+    "n, outcome, ceiling, units",
     [
         # two proven primes near 10^23, past ECM's reach
-        (100000000000000000000117 * 200000000000000000000069, "composite, not split", 2),
+        (100000000000000000000117 * 200000000000000000000069, "composite, not split", 2, 4535530),
         # 2*r*s + 1 with r the first prime after 10^39 and s the first
         # prime after 2*10^39 for which it is a probable prime: its proof
         # needs r or s, and rho and ECM do not split r*s
@@ -497,20 +506,29 @@ def _balanced_semiprime(bits):
             + 1,
             "a probable prime, not proven",
             2,
+            4604941,
         ),
         # a product modulo a 129- to 256-bit number is charged 1 to 2.17
         # units, about what it costs, so the budget runs about as long here
         # as below 128 bits before a semiprime of two 20- or 39-digit primes
         # is refused
-        (_balanced_semiprime(129), "composite, not split", 3),
-        (_balanced_semiprime(256), "composite, not split", 3),
+        (_balanced_semiprime(129), "composite, not split", 3, 4633606),
+        (_balanced_semiprime(256), "composite, not split", 3, 4597420),
         # each product is charged by operand size, so a 400-digit semiprime
         # runs the budget out in a fraction of a second, not minutes
-        (_next_probable_prime(10**199) * _next_probable_prime(10**200), "composite, not split", 1),
+        (
+            _next_probable_prime(10**199) * _next_probable_prime(10**200),
+            "composite, not split",
+            1,
+            3961281,
+        ),
     ],
     ids=["semiprime-1e23", "2rs+1", "semiprime-129-bits", "semiprime-256-bits", "semiprime-400-digits"],
 )
-def test_positive_divisors_refuses_past_the_factoring_budget(n, outcome, ceiling):
+def test_positive_divisors_refuses_past_the_factoring_budget(
+    factoring_units, n, outcome, ceiling, units
+):
+    # the units spent do not depend on the host, the CPU time does
     start = time.process_time()
     with pytest.raises(
         DivisorLimitExceeded,
@@ -518,9 +536,10 @@ def test_positive_divisors_refuses_past_the_factoring_budget(n, outcome, ceiling
     ):
         positive_divisors(n)
     assert time.process_time() - start < ceiling
+    assert factoring_units == [units]
 
 
-def test_proofs_draw_on_the_factoring_meter(monkeypatch):
+def test_proofs_draw_on_the_factoring_meter(monkeypatch, factoring_units):
     # trial division strips 30 from 30 * (2^89 - 1), and Miller-Rabin finds
     # 2^89 - 1 a probable prime; its proof comes next.  With the budget one
     # unit above what came before the proof, the proof has that one unit
@@ -530,12 +549,13 @@ def test_proofs_draw_on_the_factoring_meter(monkeypatch):
     proven = intmath._proven
     handed = []
 
-    def recording(m, budget):
-        handed.append(budget)
-        return proven(m, budget)
+    def recording(m, meter):
+        handed.append(meter.left)
+        return proven(m, meter)
 
     monkeypatch.setattr(intmath, "_proven", recording)
     assert positive_divisors(n) == _from_factors({2: 1, 3: 1, 5: 1, p: 1})
+    assert factoring_units == [2687]
     budget = intmath._BUDGET - handed[0] + 1
     monkeypatch.setattr(intmath, "_BUDGET", budget)
     with pytest.raises(
