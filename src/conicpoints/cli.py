@@ -23,9 +23,8 @@ import gc
 import json
 import re
 import sys
-from heapq import merge
-from itertools import chain, groupby, repeat, starmap, zip_longest
-from operator import eq
+from collections import Counter
+from itertools import chain, groupby, repeat
 
 from .conic import Conic, Invariants, invariants_of, validate
 from .errors import _int_text
@@ -203,43 +202,55 @@ def _oracle_scan(args, conic: Conic, inv: Invariants) -> tuple[SearchBound, list
     raise _Refused(5, f"search box (bx={bx}, by={by}) has {what}")
 
 
-# Points listed per side when solver and oracle disagree.
+# Points listed per line when solver and oracle disagree.
 _MISMATCH_SHOWN = 5
 
 
-def _only_text(side: str, points, other) -> str:
-    only = sorted(set(points).difference(other))
-    text = f"only the {side} found {len(only)}"
-    if only:
-        text += ": " + " ".join(f"({x},{y})" for x, y in only[:_MISMATCH_SHOWN])
-    if len(only) > _MISMATCH_SHOWN:
-        text += f" and {len(only) - _MISMATCH_SHOWN} more"
+def _listed(head: str, points: list) -> str:
+    text = f"{head} {len(points)}"
+    if points:
+        text += ": " + " ".join(f"({x},{y})" for x, y in points[:_MISMATCH_SHOWN])
+    if len(points) > _MISMATCH_SHOWN:
+        text += f" and {len(points) - _MISMATCH_SHOWN} more"
     return text
 
 
-def _solver_box_points(result, bound: SearchBound):
-    """The solver's points in the box, sorted, one at a time.  A line pair's
-    come from each line's walk in (x, y) order, merged, with the repeat
+def _mismatch_text(bound: SearchBound, solver: list, oracle: list) -> str:
+    """Why two lists of points differ: the points only one side found, then
+    each side's repeated points, then, if each side has every point as often
+    as the other, that their order differs."""
+    in_solver, in_oracle = Counter(solver), Counter(oracle)
+    lines = [
+        f"solver and oracle disagree within box (bx={bound.bx}, by={bound.by})",
+        _listed("only the solver found", sorted(in_solver.keys() - in_oracle.keys())),
+        _listed("only the oracle found", sorted(in_oracle.keys() - in_solver.keys())),
+    ]
+    for side, count in (("solver", in_solver), ("oracle", in_oracle)):
+        if repeated := sorted(p for p, n in count.items() if n > 1):
+            lines.append(_listed(f"the {side} repeated", repeated))
+    if in_solver == in_oracle:
+        lines.append("the solver and the oracle found the same points in a different order")
+    return "\n".join(lines)
+
+
+def _solver_box_points(result, bound: SearchBound) -> list:
+    """The solver's points in the box, sorted.  A line pair's are both
+    lines' walks, each in (x, y) order, sorted together, with the repeat
     where the lines cross dropped."""
     bx, by = bound
     if isinstance(result, FiniteSolutions):
-        return (p for p in result.points if abs(p.x) <= bx and abs(p.y) <= by)
-    walks = [line.box_points(bx, by) for line in result.lines]
-    return (p for p, _ in groupby(merge(*walks)))
+        return [p for p in result.points if abs(p.x) <= bx and abs(p.y) <= by]
+    walks = sorted(chain.from_iterable(line.box_points(bx, by) for line in result.lines))
+    return [p for p, _ in groupby(walks)]
 
 
 def _run_check(args, conic: Conic, inv: Invariants, result) -> None:
     bound, oracle_points = _oracle_scan(args, conic, inv)
-    # compared point by point: a line pair's box may hold POINT_BUDGET points
-    pairs = zip_longest(oracle_points, _solver_box_points(result, bound))
-    if not all(starmap(eq, pairs)):
-        expected = list(_solver_box_points(result, bound))
-        raise _Refused(
-            3,
-            f"solver and oracle disagree within box (bx={bound.bx}, by={bound.by})\n"
-            f"{_only_text('solver', expected, oracle_points)}\n"
-            f"{_only_text('oracle', oracle_points, expected)}",
-        )
+    # one list compared at C speed; a line pair's box may hold POINT_BUDGET
+    # points, so the two lists then peak near twice the oracle's alone
+    expected = _solver_box_points(result, bound)
+    if oracle_points != expected:
+        raise _Refused(3, _mismatch_text(bound, expected, oracle_points))
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,10 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
     if t and t * t == p and q * q == 4 * p * r:
         u = q // (2 * t)
         step_plus, step_minus = t - b, -(t + b)
-        # the numerators -(b*y + d) + (t*y + u) and -(b*y + d) - (t*y + u)
+        # the numerators -(b*y + d) + (t*y + u) and -(b*y + d) - (t*y + u);
+        # neither step is 0, which would need t = +-b, so alpha*gamma = 0
         plus, minus = step_plus * lo + u - d, step_minus * lo - u - d
+        on_minus = []
         for y in range(lo, hi + 1):
             if not plus % two_a:
                 x = plus // two_a
@@ -174,9 +176,12 @@ def brute_force(conic: Conic, bound: SearchBound) -> list[LatticePoint]:
             if not minus % two_a and minus != plus:
                 x = minus // two_a
                 if -bx <= x <= bx:
-                    found.append(new(LatticePoint, (x, y)))
+                    on_minus.append(new(LatticePoint, (x, y)))
             plus += step_plus
             minus += step_minus
+        # each root's x moves one way as y grows, so each list is one sorted
+        # run, ascending or descending, and the sort merges two runs
+        found += on_minus
         found.sort()
         return found
     isqrt = math.isqrt

@@ -6,9 +6,10 @@ Each line is one call of ``conicpoints.cli.main`` with ``COLUMNS=80``
 SHA-256 of stdout and of stderr, with the text itself when it is under
 1 KB.  ``differs`` is the one comparison of a call with its line: the exit
 code, each stream's hash and, where the text is stored, a unified diff.
-tests/test_corpus.py replays every line in process through it, and
-``--replay`` runs every argv through a command in a subprocess, each with
-30 s to answer.  Every call runs from the root of the repository, and the
+tests/test_corpus.py replays every line through it, each call run in
+process by ``run`` in one of a pool of worker processes, and ``--replay``
+runs every argv through a command in a subprocess, each with 30 s to
+answer.  Every call runs from the root of the repository, and the
 --input calls name the files under tests/corpus/inputs from there.  From
 the root of the repository:
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -21,8 +22,10 @@ from conicpoints import (
     validate,
 )
 from conicpoints.cli import _dump, _inv_block, build_parser, main
+from test_oracle import _line_at, _lines_through
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
+LINES_ARGS = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,87 @@ def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatc
         "only the solver found 0",
         "only the oracle found 1: (3,4)",
     ]
+
+
+_OTHER_ORDER = "the solver and the oracle found the same points in a different order"
+
+
+def _with_repeat(x, y):
+    return lambda points: sorted([*points, LatticePoint(x, y)])
+
+
+@pytest.mark.parametrize(
+    "side, conic_args, change, last",
+    [
+        ("solver", GOLDEN_ARGS, _with_repeat(1, 0), "the solver repeated 1: (1,0)"),
+        ("solver", GOLDEN_ARGS, lambda points: points[::-1], _OTHER_ORDER),
+        ("oracle", LINES_ARGS, _with_repeat(0, 0), "the oracle repeated 1: (0,0)"),
+        ("oracle", LINES_ARGS, lambda points: points[::-1], _OTHER_ORDER),
+    ],
+    ids=["finite-repeated", "finite-misordered", "lines-repeated", "lines-misordered"],
+)
+def test_solve_check_names_a_repeated_point_or_another_order(
+    capsys, monkeypatch, side, conic_args, change, last
+):
+    # the same set of points on both sides, so neither side found one the
+    # other did not; a line pair's in-box points leave the solver sorted and
+    # unique, so there the oracle's list is changed
+    import conicpoints.cli as cli_mod
+
+    if side == "solver":
+        def tampered(conic, **kwargs):
+            return FiniteSolutions(tuple(change(list(solve(conic, **kwargs).points))))
+
+        monkeypatch.setattr(cli_mod, "solve", tampered)
+    else:
+        true_brute_force = cli_mod.brute_force
+        monkeypatch.setattr(cli_mod, "brute_force", lambda *args: change(true_brute_force(*args)))
+    code, _, err = run_cli(capsys, "solve", "--check", "--bound", "3", *conic_args)
+    assert code == 3
+    assert err.splitlines() == [
+        "error: solver and oracle disagree within box (bx=3, by=3)",
+        "only the solver found 0",
+        "only the oracle found 0",
+        last,
+    ]
+
+
+@pytest.mark.parametrize(
+    "line1, line2, bound, crossing",
+    [
+        (_line_at(2, 3, 3, -2), _line_at(1, 1, 3, -2), 10, (3, -2)),
+        (_line_at(2, 3, 3, -2), _line_at(1, 1, 3, -2), 3, (3, -2)),
+        (_line_at(2, 3, 3, -2), _line_at(1, 1, 3, -2), 2, None),
+        (_line_at(-3, 1, -7, 5), _line_at(2, 5, -7, 5), 40, (-7, 5)),
+        # 2x + 3y = 1 and x = y cross at (1/5, 1/5)
+        ((2, 3, -1), (1, -1, 0), 10, None),
+    ],
+    ids=["inside", "on-the-edge", "outside", "inside-negative-alpha", "off-the-lattice"],
+)
+def test_solve_check_line_pairs_crossing_off_the_origin(capsys, line1, line2, bound, crossing):
+    # a lattice crossing in the box is on both lines' walks, and --check
+    # must count it once, as the oracle does
+    conic = _lines_through(line1, line2)
+    argv = ["--bound", str(bound), *map(str, conic)]
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert (code, err) == (0, "")
+    points = [tuple(map(int, row.split())) for row in out.splitlines()]
+    on_both = [p for p in points if all(a * p[0] + b * p[1] + c == 0 for a, b, c in (line1, line2))]
+    assert len(points) > 4 and on_both == ([crossing] if crossing else [])
+    code, out, err = run_cli(capsys, "solve", "--check", *argv)
+    assert (code, err) == (0, "")
+
+
+def test_solve_check_line_pair_memory_ceiling(capsys):
+    # the oracle's list and the solver's, 8,189 points each: 1.9-2.2 MB
+    # measured with their ints, about 240 bytes a point
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "solve", "--check", "--bound", "2047", *LINES_ARGS)
+        assert (code, err) == (0, "")
+        assert tracemalloc.get_traced_memory()[1] < 2_500_000
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 the exit code and the stdout and stderr bytes it gave when the file was
 written (see tests/corpus/make.py)."""
 
+import multiprocessing
+import os
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from itertools import zip_longest
 
 import pytest
@@ -11,12 +14,16 @@ from corpus import make
 from corpus.make import GOLDEN, differs, entry, load, run
 
 
-def _replay(docs: list[dict]) -> list[str]:
+def _replay(docs: list[dict], outcomes=None) -> list[str]:
     """Every report on ``docs``: each stored call that differs, their count,
-    then whether make.calls() still draws exactly their argvs.  The calls
-    are replayed first because calls() draws some argvs through the
-    library, so a fault there also shows as a list mismatch."""
-    reports = [report for doc in docs if (report := differs(doc, *run(doc["argv"])))]
+    then whether make.calls() still draws exactly their argvs.  ``outcomes``
+    are the calls' run() results in stored order, by default run here one
+    after another.  The calls are replayed first because calls() draws some
+    argvs through the library, so a fault there also shows as a list
+    mismatch."""
+    if outcomes is None:
+        outcomes = (run(doc["argv"]) for doc in docs)
+    reports = [report for doc, outcome in zip(docs, outcomes) if (report := differs(doc, *outcome))]
     if reports:
         reports.append(f"{len(reports)} of {len(docs)} calls differ")
     stored = [doc["argv"] for doc in docs]
@@ -40,7 +47,13 @@ def test_corpus_replays_byte_for_byte(monkeypatch):
     monkeypatch.chdir(make.ROOT)  # the --input calls name files from here
     docs = load()
     assert len(docs) > 500
-    if reports := _replay(docs):
+    # the calls are independent, so they run over one worker process a CPU;
+    # spawned workers start from a fresh import and take this process's
+    # sys.path, working directory and environment
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(os.cpu_count() or 1, mp_context=context) as pool:
+        outcomes = list(pool.map(run, [doc["argv"] for doc in docs]))
+    if reports := _replay(docs, outcomes):
         pytest.fail("\n".join(reports))
 
 
