@@ -1,33 +1,22 @@
 """Write tests/corpus/calls.jsonl: the command line's exact bytes on a fixed
 set of calls, so a change that means to keep them can prove it did.
 
-Each line is one call of ``conicpoints.cli.main`` with ``COLUMNS=80``
-(argparse wraps its help to the terminal): the argv, the exit code and the
-SHA-256 of stdout and of stderr, with the text itself when it is under
-1 KB.  ``differs`` is the one comparison of a call with its line: the exit
-code, each stream's hash and, where the text is stored, a unified diff.
-tests/test_corpus.py replays every line through it, each call run in
-process by ``run`` in one of a pool of worker processes, and ``--replay``
-runs every argv through a command in a subprocess, each with 30 s to
-answer.  Every call runs from the root of the repository, and the
---input calls name the files under tests/corpus/inputs from there.  From
-the root of the repository:
+Each line is one call of ``conicpoints.cli.main`` with ``COLUMNS=80``, run
+from the root of the repository: the argv, the exit code and the SHA-256 of
+stdout and of stderr, with the text itself when it is under 1 KB.  The
+calls come from fixed lists, seeds and budgets, so the file changes only
+when the bytes or a budget do.  Regenerating, tests/test_corpus.py's
+in-process replay and ``--replay`` all run their calls through
+``outcomes``, and both replays report through ``reports``.  From the root
+of the repository:
 
-    PYTHONPATH=src python tests/corpus/make.py            # regenerate
-    python tests/corpus/make.py --replay conicpoints      # replay through
-                                                          # a console script
+    PYTHONPATH=src python tests/corpus/make.py          # regenerate
+    python tests/corpus/make.py --replay conicpoints    # replay through the console script
 
-Either replay reports every differing call the same way, then their
-count; ``--replay`` exits 1 if any differs or times out.  In process, a call
-that raises is one more differing call, and regenerating names it and
-leaves the file as it was.  The calls come from fixed lists, seeds and
-budgets, so the file changes only when the bytes or a budget do.
-Left out: the root --help, whose subcommand column Python 3.13 lays out
-differently from 3.10-3.12 (test_cli.py's
-test_named_arguments_parser_matches_the_full_one checks it, on each
-interpreter, against a parser with every subcommand's arguments); exit 3,
-which needs a tampered solver; and --input on a nesting too deep to parse,
-a generated 200 KB file.
+Left out: the root --help, which Python 3.13 lays out differently from
+3.10-3.12 (test_cli.py checks it against a parser with every subcommand's
+arguments); exit 3, which needs a tampered solver; and --input on a nesting
+too deep to parse, a generated 200 KB file.
 """
 
 import argparse
@@ -36,12 +25,15 @@ import difflib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
 import sys
 import traceback
-from itertools import count
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from itertools import count, zip_longest
 from pathlib import Path
 
 from conicpoints import power_of_two_conic, random_valid_conic
@@ -56,8 +48,8 @@ OVERCAP = ROOT / "bench" / "overcap.json"
 INPUTS = "tests/corpus/inputs"  # --input files, relative to ROOT
 # stdout and stderr are kept in full below this many UTF-8 bytes
 TEXT_LIMIT = 1024
-# seconds a --replay call may take: far above what any call needs, so a
-# hang is reported, not waited on
+# seconds a call through a command may take: far above what any call
+# needs, so a hang is reported, not waited on
 TIMEOUT = 30
 # a report names a longer argument by its size
 ARG_LIMIT = 80
@@ -114,9 +106,12 @@ def argv_text(argv: list[str]) -> str:
     )
 
 
-def differs(doc: dict, code: int | str, out: bytes, err: bytes) -> str | None:
+def differs(doc: dict, code: int | str | None, out: bytes, err: bytes) -> str | None:
     """What differs between a stored call and a replay of it, headed by its
-    argv, or None when the exit code and both streams' hashes match."""
+    argv, or None when the exit code and both streams' hashes match.  A
+    code of None is a call that gave no answer within TIMEOUT seconds."""
+    if code is None:
+        return f"differs: {argv_text(doc['argv'])}\nno answer within {TIMEOUT} s"
     found = [] if code == doc["exit"] else [f"exit {code}, stored {doc['exit']}"]
     for name, data in (("stdout", out), ("stderr", err)):
         if sha256(data) == doc[name + "_sha256"]:
@@ -355,26 +350,66 @@ def load() -> list[dict]:
         return [json.loads(line) for line in fh]
 
 
-def replay(command: list[str]) -> int:
-    """Run each entry's argv through ``command`` in a subprocess, report
-    each call that differs or gives no answer within TIMEOUT seconds, and
-    return 1 if any did."""
+def through(command: list[str], seconds: float, argv: list[str]) -> tuple[int | None, bytes, bytes]:
+    """argv through ``command`` in a subprocess, run from ROOT with
+    COLUMNS=80: its exit code, stdout and stderr, or None for the code when
+    it gives no answer within ``seconds``."""
     env = {**os.environ, "COLUMNS": "80"}
+    try:
+        proc = subprocess.run([*command, *argv], capture_output=True, cwd=ROOT, env=env, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        return None, b"", b""
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def outcomes(runner, argvs: list[list[str]]) -> list[tuple]:
+    """``runner(argv)`` for each argv, in the order of ``argvs``, over a
+    pool of spawned workers, one per CPU this process may run on (a
+    container may pin it to fewer than the host has); or here, one after
+    another, when it may use only one.  A spawned worker takes this
+    process's sys.path, working directory and environment."""
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers == 1:
+        return list(map(runner, argvs))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(runner, argvs))
+
+
+def reports(docs: list[dict], results: list[tuple]) -> tuple[list[str], str]:
+    """The report on each stored call that differs from its result, in
+    stored order, then one on calls() if it raises or no longer draws the
+    stored argvs; and the line "N of M calls differ".  calls() draws some
+    argvs through the library, so it runs last: a library fault is still
+    reported call by call."""
+    found = [report for doc, result in zip(docs, results) if (report := differs(doc, *result))]
+    count_line = f"{len(found)} of {len(docs)} calls differ"
+    try:
+        drawn = calls()
+    except Exception:
+        return [*found, f"calls() raised:\n{traceback.format_exc()}"], count_line
+    # calls() edited but never regenerated, or a library change to an argv
+    stored = [doc["argv"] for doc in docs]
+    if lines := [i for i, (a, b) in enumerate(zip_longest(stored, drawn), 1) if a != b]:
+        found.append(
+            f"calls() no longer draws the stored argvs: {len(lines)} lines differ, the first {lines[0]}"
+        )
+    return found, count_line
+
+
+def replay(command: list[str]) -> int:
+    """Run each stored argv through ``command``, print the reports on stderr
+    and the count on stdout; 1 if anything differs or ``command`` cannot run."""
     docs = load()
-    bad = 0
-    for doc in docs:
-        try:
-            proc = subprocess.run(
-                [*command, *doc["argv"]], capture_output=True, cwd=ROOT, env=env, timeout=TIMEOUT
-            )
-            report = differs(doc, proc.returncode, proc.stdout, proc.stderr)
-        except subprocess.TimeoutExpired:
-            report = f"differs: {argv_text(doc['argv'])}\nno answer within {TIMEOUT} s"
-        if report is not None:
-            bad += 1
-            print(report, file=sys.stderr)
-    print(f"{bad} of {len(docs)} calls differ")
-    return 1 if bad else 0
+    try:
+        results = outcomes(partial(through, command, TIMEOUT), [doc["argv"] for doc in docs])
+    except OSError as exc:  # no such command, or not executable
+        print(f"cannot run {shlex.join(command)}: {exc}", file=sys.stderr)
+        return 1
+    found, count_line = reports(docs, results)
+    for report in found:
+        print(report, file=sys.stderr)
+    print(count_line)
+    return 1 if found else 0
 
 
 def write() -> int:
@@ -382,9 +417,9 @@ def write() -> int:
     with its traceback, leave the file as it was and return 1."""
     os.environ["COLUMNS"] = "80"
     os.chdir(ROOT)
+    argvs = calls()
     docs, raised = [], 0
-    for argv in calls():
-        code, out, err = run(argv)
+    for argv, (code, out, err) in zip(argvs, outcomes(run, argvs)):
         if isinstance(code, str):
             raised += 1
             print(f"{code}: {argv_text(argv)}\n{err.decode()}", file=sys.stderr)
@@ -399,10 +434,7 @@ def write() -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--replay",
-        metavar="COMMAND",
-        help="replay the calls through COMMAND, run from the repository root, instead of writing them",
-    )
+    parser.add_argument("--replay", metavar="COMMAND", help=(
+        "replay the calls through COMMAND, run from the repository root, instead of writing them"))
     args = parser.parse_args()
     sys.exit(replay(shlex.split(args.replay)) if args.replay else write())
