@@ -7,8 +7,9 @@ stdout and of stderr, with the text itself when it is under 1 KB.  The
 calls come from fixed lists, seeds and budgets, so the file changes only
 when the bytes or a budget do.  Regenerating, tests/test_corpus.py's
 in-process replay and ``--replay`` all run their calls through
-``outcomes``, and both replays report through ``reports``.  From the root
-of the repository:
+``outcomes``, and both replays report through ``reports``.
+``overcap_items`` is the one reader of bench/overcap.json, for the corpus
+and for the tests of the over-cap slice.  From the root of the repository:
 
     PYTHONPATH=src python tests/corpus/make.py          # regenerate
     python tests/corpus/make.py --replay conicpoints    # replay through the console script
@@ -25,6 +26,7 @@ import difflib
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import shlex
@@ -37,9 +39,9 @@ from itertools import count, zip_longest
 from pathlib import Path
 
 from conicpoints import power_of_two_conic, random_valid_conic
-from conicpoints.cli import main
+from conicpoints.cli import main as cli_main
 from conicpoints.intmath import POINT_BUDGET, POINT_WORD
-from conicpoints.oracle import ROW_BUDGET
+from conicpoints.oracle import _MODULI, ROW_BUDGET
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]  # every call runs here
@@ -59,20 +61,21 @@ LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
 # (3x + 3y + 1)(3x - 3y + 2): neither line holds a lattice point
 NO_POINTS = ["9", "0", "-9", "9", "3", "2"]
 PSI13 = 3317044064679887385961981
-# the product of the sieve moduli: disc is a square modulo each of them in
-# every row of 1 3 2 0 -M*t -M*t, so the oracle's sieve strikes no row
-SIEVE_M = 14757354782123793840
+# the product of the sieve moduli, 14757354782123793840: disc is a square
+# modulo each of them in every row of 1 3 2 0 -M*t -M*t, so the oracle's
+# sieve strikes no row
+SIEVE_M = math.prod(_MODULI)
 
 
 def run(argv: list[str]) -> tuple[int | str, bytes, bytes]:
-    """main(argv) in process: the exit code and the UTF-8 bytes of stdout
-    and stderr.  A call that raises gives "raised <exception name>" for its
-    exit code and its traceback on stderr, so one crash is reported as that
-    call's outcome and the other calls still run."""
+    """cli_main(argv) in process: the exit code and the UTF-8 bytes of
+    stdout and stderr.  A call that raises gives "raised <exception name>"
+    for its exit code and its traceback on stderr, so one crash is reported
+    as that call's outcome and the other calls still run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = cli_main(argv)
         except SystemExit as exc:  # --help and usage errors
             code = exc.code
         except Exception as exc:
@@ -127,6 +130,20 @@ def differs(doc: dict, code: int | str | None, out: bytes, err: bytes) -> str | 
         )
         found.append("".join(diff))
     return "\n".join([f"differs: {argv_text(doc['argv'])}", *found]) if found else None
+
+
+def overcap_items() -> dict[str, dict]:
+    """The items of bench/overcap.json in the file's order, keyed by their
+    id within the slice ("digits20/1" for "big_target/overcap/digits20/1"),
+    each with the committed factorization of its reduced target as
+    {prime: exponent}."""
+    with open(OVERCAP, encoding="utf-8") as fh:
+        items = json.load(fh)["items"]
+    return {
+        item["id"].removeprefix("big_target/overcap/"):
+            {**item, "factors": {int(p): e for p, e in item["factors"]}}
+        for item in items
+    }
 
 
 def _seeded(seeds) -> list[list[str]]:
@@ -272,8 +289,7 @@ def calls() -> list[list[str]]:
         ["oracle", "sumform"],
     ]
     # digits20/4 among them: ECM splits off a 15-digit prime
-    with open(OVERCAP, encoding="utf-8") as fh:
-        overcap = [[item["command"], *item["args"]] for item in json.load(fh)["items"]]
+    overcap = [[item["command"], *item["args"]] for item in overcap_items().values()]
     # x^2 = y^2 once more: the oracle scans a line pair's rows with its
     # exact linear identity and prints both diagonals, and solve --check
     # refuses it without --bound (exit 4: no finite box)
@@ -398,7 +414,11 @@ def reports(docs: list[dict], results: list[tuple]) -> tuple[list[str], str]:
 
 def replay(command: list[str]) -> int:
     """Run each stored argv through ``command``, print the reports on stderr
-    and the count on stdout; 1 if anything differs or ``command`` cannot run."""
+    and the count on stdout; 1 if anything differs or ``command`` is empty
+    or cannot run."""
+    if not command:
+        print("--replay needs a command to run the calls through", file=sys.stderr)
+        return 1
     docs = load()
     try:
         results = outcomes(partial(through, command, TIMEOUT), [doc["argv"] for doc in docs])
@@ -432,9 +452,13 @@ def write() -> int:
     return 0
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--replay", metavar="COMMAND", help=(
         "replay the calls through COMMAND, run from the repository root, instead of writing them"))
-    args = parser.parse_args()
-    sys.exit(replay(shlex.split(args.replay)) if args.replay else write())
+    args = parser.parse_args(argv)
+    return write() if args.replay is None else replay(shlex.split(args.replay))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

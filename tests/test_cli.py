@@ -22,6 +22,7 @@ from conicpoints import (
     validate,
 )
 from conicpoints.cli import _dump, _inv_block, build_parser, main
+from corpus.make import SIEVE_M
 from test_oracle import _line_at, _lines_through
 
 GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
@@ -71,14 +72,14 @@ def test_solve_check_mismatch_lists_are_capped(capsys, monkeypatch):
 
 def test_oracle_row_budget_edge_slowest_finite_box(capsys):
     """The slowest finite box ROW_BUDGET's comment names: epsilon = j = -M,
-    with M = 14757354782123793840 the product of the sieve moduli, so
-    disc(y) = y^2 + 4*M*y + 4*M is a square modulo every modulus in every
-    row and the sieve strikes none.  At 2^22 - 1 rows it answers within a
-    CPU ceiling, as does `1 3 2 0 0 -2882880`, whose disc y^2 + 11531520 is
-    a square modulo 16, 9, 5, 7, 11 and 13 in every row; one more row is
-    refused at once."""
+    with M = SIEVE_M = 14757354782123793840 the product of the sieve
+    moduli, so disc(y) = y^2 + 4*M*y + 4*M is a square modulo every modulus
+    in every row and the sieve strikes none.  At 2^22 - 1 rows it answers
+    within a CPU ceiling, as does `1 3 2 0 0 -2882880`, whose disc
+    y^2 + 11531520 is a square modulo 16, 9, 5, 7, 11 and 13 in every row;
+    one more row is refused at once."""
     for conic_args, points in (
-        (["1", "3", "2", "0", "-14757354782123793840", "-14757354782123793840"], 2),
+        (["1", "3", "2", "0", str(-SIEVE_M), str(-SIEVE_M)], 2),
         (["1", "3", "2", "0", "0", "-2882880"], 666),
     ):
         start = time.process_time()
@@ -105,7 +106,7 @@ def test_oracle_row_budget_edge_charged_by_word_size(capsys):
     square of two words.  The widest box the charge admits, a quarter of the
     rows of the budget, answers within the same CPU ceiling; one more row is
     refused at once."""
-    e = str(-14757354782123793840 * 10**129)
+    e = str(-SIEVE_M * 10**129)
     conic_args = ["1", "3", "2", "0", e, e]
     start = time.process_time()
     code, out, err = run_cli(capsys, "oracle", "--bound", "524287", *conic_args)

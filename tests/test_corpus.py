@@ -29,21 +29,21 @@ def test_report_names_a_long_argument_by_its_size():
 
 def _one_cpu(monkeypatch):
     """Let this process run on one CPU, so that outcomes() runs the calls
-    here, where a patch of the corpus's main holds."""
+    here, where a patch of the corpus's cli_main holds."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def _crash_on(monkeypatch, argv):
-    """Make the corpus's main raise OverflowError on ``argv`` alone."""
+    """Make the corpus's cli_main raise OverflowError on ``argv`` alone."""
     _one_cpu(monkeypatch)
-    true_main = make.main
+    true_main = make.cli_main
 
     def crashing(args):
         if args == argv:
             raise OverflowError("int too large to convert to float")
         return true_main(args)
 
-    monkeypatch.setattr(make, "main", crashing)
+    monkeypatch.setattr(make, "cli_main", crashing)
 
 
 def test_a_call_that_raises_is_reported_and_the_replay_goes_on(monkeypatch):
@@ -131,3 +131,11 @@ def test_replay_through_the_package_or_a_missing_command(monkeypatch, capsys):
         "",
         "cannot run nosuchcommand -x: [Errno 2] No such file or directory: 'nosuchcommand'\n",
     )
+
+
+def test_an_empty_replay_command_is_refused_before_any_call(monkeypatch, capsys):
+    monkeypatch.setattr(make, "write", lambda: pytest.fail("calls.jsonl regenerated"))
+    monkeypatch.setattr(make, "outcomes", lambda *args: pytest.fail("a call ran"))
+    for command in ("", "  "):
+        assert make.main(["--replay", command]) == 1
+        assert capsys.readouterr() == ("", "--replay needs a command to run the calls through\n")

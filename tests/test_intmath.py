@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conicpoints import DivisorLimitExceeded, intmath
 from conicpoints.errors import _int_text
 from conicpoints.intmath import POINT_BUDGET, ceil_div, integer_sqrt, is_prime, positive_divisors
+from corpus.make import overcap_items
 
 
 def test_integer_sqrt_basics():
@@ -268,10 +269,9 @@ def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
 
 
 # The probable primes at or above psi_13 in the reduced targets of the
-# benchmark's over-cap slice (bench/overcap.json, digits20/0, 3, 4, 5, 6,
-# 9, 10, 13, 15, 16, 18 and 19), Mersenne primes, and one prime whose
-# n - 1 holds a large prime to a power, each with the units its test and
-# proof spend.
+# benchmark's over-cap slice (bench/overcap.json; the test below names its
+# items), Mersenne primes, and one prime whose n - 1 holds a large prime to
+# a power, each with the units its test and proof spend.
 PROVABLE_PRIMES = {
     129038938365214773537858908429: 14097,
     386148255740571217985298156305067121: 468987,
@@ -301,6 +301,15 @@ def test_positive_divisors_proves_primes_above_psi13(p, factoring_units):
     assert positive_divisors(p) == [1, p]
     assert time.process_time() - start < 1
     assert factoring_units == [PROVABLE_PRIMES[p]]
+
+
+def test_provable_primes_hold_the_over_cap_slice():
+    # the slice's other primes above psi_13 are in digits20/7 and /11,
+    # frontier composites that are never split
+    items = overcap_items()
+    for i in (0, 3, 4, 5, 6, 9, 10, 13, 15, 16, 18, 19):
+        large = [p for p in items[f"digits20/{i}"]["factors"] if p >= intmath._PSI_13]
+        assert large and all(p in PROVABLE_PRIMES for p in large), i
 
 
 def test_pocklington_proves_a_prime_of_f_first(monkeypatch):

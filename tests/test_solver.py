@@ -28,10 +28,12 @@ from conicpoints import intmath, solver
 from conicpoints.conic import content_reduce, factor_forms
 from conicpoints.intmath import is_prime, positive_divisors
 from conicpoints.solver import solve_degenerate, solve_finite, solve_linear_diophantine
-from test_intmath import PROVABLE_PRIMES, SMALL_PRIMES_TO_61
+from corpus.make import overcap_items
+from test_intmath import PROVABLE_PRIMES, SMALL_PRIMES_TO_61, _from_factors
 
 GOLDEN = (2, -5, 2, -1, 1, -1)
 GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
+OVERCAP = overcap_items()
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +451,7 @@ def _cramer_reference(conic, inv, reduce, factors=None):
         divisors = positive_divisors(target)
     else:
         assert math.prod(p**e for p, e in factors.items()) == abs(target)
-        divisors = [1]
-        for p, e in factors.items():
-            divisors = [d * p**i for d in divisors for i in range(e + 1)]
+        divisors = _from_factors(factors)
     found = set()
     for d in divisors:
         for s1 in (d, -d):
@@ -552,77 +552,41 @@ def test_solve_finite_matches_reference_large(coeffs, point, values):
 
 
 # Twenty-digit conics with a planted point from the benchmark's over-cap
-# slice (bench/overcap.json, digits20/1, /14, /17, /4, /5 and /15), with
-# the committed factorizations of their reduced targets and the units their
-# factoring spends.  Each target has a composite cofactor that rho does not
-# split within its budget and ECM does; in /4, /5 and /15 it has a 15-, a
-# 16- and a 14-digit prime factor and a prime factor above psi_13, which is
-# proven by Pocklington's theorem.
-OVERCAP_SPLIT_BY_ECM = [
-    (
-        (1, -22113174511345175570, 66339523534035526701,
-         59854641873132934010, 12106445748622659243, 59854641873132934009),
-        {23: 1, 1021: 1, 19507: 1, 26729: 1, 53609: 1, 210869: 1,
-         815533723: 1, 11397366553: 1, 219937633712531863: 1},
-        546940,
-    ),
-    (
-        (1, 14209011520262442296, 85254069121574653740,
-         71167387487549854517, 47209118883811718765, 75871801696811889463),
-        {3: 5, 107: 1, 131: 1, 137: 1, 311: 1, 691: 1, 170707: 1, 13269523: 1,
-         22066616720377: 1, 79674087440180117387: 1},
-        1034560,
-    ),
-    (
-        (1, 10937480532290144516, 65624883193740867060,
-         79122965549068149983, 72891952928237759417, -48456390040620331979),
-        {3: 2, 17: 1, 271: 1, 25037: 1, 80747: 1, 6778319: 1, 7617251: 1,
-         20998773121: 1, 3762664653370300761973: 1},
-        508103,
-    ),
-    (
-        (1, 32642017593602603612, 65284035187205207220,
-         34483282722507351701, 99413854504227469488, -93109184205063745428),
-        {3: 1, 7: 1, 283: 1, 13381: 1, 13765789: 1, 236231897588977: 1,
-         129038938365214773537858908429: 1},
-        2683300,
-    ),
-    (
-        (1, 50179865452388242748, 50179865452388242747,
-         12912684545706367143, -24347444704137281725, -25825369091412734290),
-        {2: 3, 839: 1, 2801: 1, 1407970404653089: 1,
-         386148255740571217985298156305067121: 1},
-        4051511,
-    ),
-    (
-        (1, 13223598976408552059, 79341593858451312318,
-         -85046997544121540057, 58055690658765244919, 78072911185922406748),
-        {2: 4, 17: 1, 19: 1, 181: 1, 61463: 1, 15446342436607: 1,
-         735111315620892362126623507937917549: 1},
-        4051766,
-    ),
-]
+# slice (bench/overcap.json), each with the units its factoring spends;
+# their reduced targets' committed factorizations give the reference points.
+# Each target has a composite cofactor that rho does not split within its
+# budget and ECM does; in /4, /5 and /15 it has a 15-, a 16- and a 14-digit
+# prime factor and a prime factor above psi_13, which is proven by
+# Pocklington's theorem.
+OVERCAP_SPLIT_BY_ECM = {
+    "digits20/1": 546940,
+    "digits20/14": 1034560,
+    "digits20/17": 508103,
+    "digits20/4": 2683300,
+    "digits20/5": 4051511,
+    "digits20/15": 4051766,
+}
 
 
-def _case_ids(cases):
-    """pytest's ids for the coefficients and factors alone, without the units."""
-    return [f"coeffs{i}-factors{i}" for i in range(len(cases))]
+def _overcap_case(item_id):
+    """The item's conic, its committed factors and the reference points."""
+    factors = OVERCAP[item_id]["factors"]
+    conic, inv = validate(*map(int, OVERCAP[item_id]["args"]))
+    expected = _cramer_reference(conic, inv, True, factors)
+    assert expected
+    return conic, factors, expected
 
 
-@pytest.mark.parametrize(
-    "coeffs, factors, units", OVERCAP_SPLIT_BY_ECM, ids=_case_ids(OVERCAP_SPLIT_BY_ECM)
-)
-def test_solve_overcap_targets_split_by_ecm(monkeypatch, factoring_units, coeffs, factors, units):
-    conic, inv = validate(*coeffs)
+@pytest.mark.parametrize("item_id", OVERCAP_SPLIT_BY_ECM)
+def test_solve_overcap_targets_split_by_ecm(monkeypatch, factoring_units, item_id):
+    conic, factors, expected = _overcap_case(item_id)
     # Miller-Rabin is a proof below psi_13; the primes above it, in /4, /5
     # and /15, are proven in tests/test_intmath.py
     assert all(is_prime(p) and (p < intmath._PSI_13 or p in PROVABLE_PRIMES) for p in factors)
-    expected = _cramer_reference(conic, inv, True, factors)
-    assert expected
     start = time.process_time()
     assert list(solve(conic).points) == expected
     assert time.process_time() - start < 4
-    assert factoring_units == [units]
+    assert factoring_units == [OVERCAP_SPLIT_BY_ECM[item_id]]
     # without ECM they are refused: rho alone, with a ninth of the budget,
     # does not split them
     monkeypatch.setattr(intmath, "_ecm_split", lambda m, meter: None)
@@ -632,37 +596,20 @@ def test_solve_overcap_targets_split_by_ecm(monkeypatch, factoring_units, coeffs
         solve(conic)
 
 
-# Twenty-digit conics from the same slice (digits20/9 and /19) whose
-# reduced targets have a prime factor above psi_13, which is proven by
-# Pocklington's theorem, and the units their factoring spends.
-OVERCAP_PROVEN = [
-    (
-        (1, -11940911364915399717, 83586379554407797970,
-         26578972365668569683, -65429115344593746164, 26578972365668569682),
-        {2: 3, 3: 1, 5: 1, 13: 1, 17: 1, 2293: 1, 133811: 1, 185309: 1,
-         7861951: 1, 3549008165196016535315079042642869: 1},
-        35581,
-    ),
-    (
-        (1, 76785034258743227215, 76785034258743227214,
-         62928314549161690896, 19850844796234424615, 43077469752927266281),
-        {2: 1, 19: 1, 523: 1, 1942873: 1, 1436124581: 1, 29995635701: 1,
-         277833612854703090768662362249: 1},
-        684125,
-    ),
-]
+# Twenty-digit conics from the same slice whose reduced targets have a
+# prime factor above psi_13, which is proven by Pocklington's theorem, and
+# the units their factoring spends.
+OVERCAP_PROVEN = {"digits20/9": 35581, "digits20/19": 684125}
 
 
-@pytest.mark.parametrize("coeffs, factors, units", OVERCAP_PROVEN, ids=_case_ids(OVERCAP_PROVEN))
-def test_solve_overcap_targets_with_a_proven_prime(factoring_units, coeffs, factors, units):
-    conic, inv = validate(*coeffs)
-    assert max(factors) >= 3317044064679887385961981
-    expected = _cramer_reference(conic, inv, True, factors)
-    assert expected
+@pytest.mark.parametrize("item_id", OVERCAP_PROVEN)
+def test_solve_overcap_targets_with_a_proven_prime(factoring_units, item_id):
+    conic, factors, expected = _overcap_case(item_id)
+    assert max(factors) >= intmath._PSI_13
     start = time.process_time()
     assert list(solve(conic).points) == expected
     assert time.process_time() - start < 1
-    assert factoring_units == [units]
+    assert factoring_units == [OVERCAP_PROVEN[item_id]]
 
 
 # ---------------------------------------------------------------------------
@@ -710,21 +657,17 @@ def test_power_of_two_points_budget(monkeypatch):
         try:
             solve_finite(conic, invariants_of(conic))
         except DivisorLimitExceeded:
-            with pytest.raises(DivisorLimitExceeded, match="point budget of 64"):
-                power_of_two_points(3, 0, 1, n)
+            # the one budget, patched in intmath alone, refuses before any
+            # conic is built
+            with monkeypatch.context() as probe:
+                probe.setattr(solver, "validate", lambda *args: pytest.fail("conic built"))
+                with pytest.raises(DivisorLimitExceeded, match="point budget of 64$"):
+                    power_of_two_points(3, 0, 1, n)
             assert n == 34
             break
         assert len(power_of_two_points(3, 0, 1, n)) == 2 * (n - 1)
     else:
         pytest.fail("solve_finite never refused")
-
-
-def test_power_of_two_points_budget_lives_in_intmath(monkeypatch):
-    # one budget, patched in intmath alone, refuses before any conic is built
-    monkeypatch.setattr(intmath, "POINT_BUDGET", 64)
-    monkeypatch.setattr(solver, "validate", lambda *args: pytest.fail("conic built"))
-    with pytest.raises(DivisorLimitExceeded, match="point budget of 64$"):
-        power_of_two_points(3, 0, 1, 34)
 
 
 def test_power_of_two_points_charges_solve_finite_bits(monkeypatch):
