@@ -9,7 +9,10 @@ when the bytes or a budget do.  Regenerating, tests/test_corpus.py's
 in-process replay and ``--replay`` all run their calls through
 ``outcomes``, and both replays report through ``reports``.
 ``overcap_items`` is the one reader of bench/overcap.json, for the corpus
-and for the tests of the over-cap slice.  From the root of the repository:
+and for the tests of the over-cap slice.  The module is also where the
+inputs the tests share live: the golden conic, its points and the line
+pair x^2 = y^2, psi_13 and the sieve moduli's product.  From the root of
+the repository:
 
     PYTHONPATH=src python tests/corpus/make.py          # regenerate
     python tests/corpus/make.py --replay conicpoints    # replay through the console script
@@ -56,8 +59,13 @@ TIMEOUT = 30
 # a report names a longer argument by its size
 ARG_LIMIT = 80
 
-GOLDEN = ["2", "-5", "2", "-1", "1", "-1"]
-LINES = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
+# 2x^2 - 5xy + 2y^2 - x + y - 1 = 0, the worked example, and its points
+GOLDEN_COEFFS = (2, -5, 2, -1, 1, -1)
+GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
+LINES_COEFFS = (1, 0, -1, 0, 0, 0)  # x^2 = y^2
+# the same two conics as command-line arguments
+GOLDEN = [str(c) for c in GOLDEN_COEFFS]
+LINES = [str(c) for c in LINES_COEFFS]
 # (3x + 3y + 1)(3x - 3y + 2): neither line holds a lattice point
 NO_POINTS = ["9", "0", "-9", "9", "3", "2"]
 PSI13 = 3317044064679887385961981

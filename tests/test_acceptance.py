@@ -25,9 +25,8 @@ from conicpoints import (
 from conicpoints.cli import main
 from conicpoints.conic import factor_forms
 from conicpoints.solver import solve_degenerate, solve_finite
+from corpus.make import GOLDEN, GOLDEN_COEFFS, GOLDEN_POINTS
 from test_solver import _theorem1_points
-
-GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
 
 GOLDEN_JSON = """\
 {
@@ -61,17 +60,17 @@ GOLDEN_JSON = """\
 
 
 def test_criterion_1_golden_conic_byte_exact(capsys):
-    code = main(["solve", "--format", "json", *GOLDEN_ARGS])
+    code = main(["solve", "--format", "json", *GOLDEN])
     out = capsys.readouterr().out
     assert code == 0
     assert out == GOLDEN_JSON
 
-    conic, inv = validate(2, -5, 2, -1, 1, -1)
+    conic, inv = validate(*GOLDEN_COEFFS)
     solve(conic)  # warm path
     start = time.perf_counter()
     result = solve(conic)
     elapsed = time.perf_counter() - start
-    assert list(result.points) == [(-2, -1), (0, -1), (1, 0), (1, 2)]
+    assert list(result.points) == GOLDEN_POINTS
     assert elapsed < 0.010
     print(
         f"ACCEPTANCE 1: PASS worked example byte-exact, solve took "

@@ -18,15 +18,11 @@ from conicpoints import (
     FiniteSolutions,
     LatticePoint,
     LinePair,
-    solve,
     validate,
 )
 from conicpoints.cli import _dump, _inv_block, build_parser, main
-from corpus.make import SIEVE_M
+from corpus.make import GOLDEN, GOLDEN_COEFFS, GOLDEN_POINTS, LINES, SIEVE_M
 from test_oracle import _line_at, _lines_through
-
-GOLDEN_ARGS = ["2", "-5", "2", "-1", "1", "-1"]
-LINES_ARGS = ["1", "0", "-1", "0", "0", "0"]  # x^2 = y^2
 
 
 def run_cli(capsys, *argv):
@@ -41,201 +37,195 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 # solve --check and the oracle
 
-def test_solve_check_detects_fault(capsys, monkeypatch):
-    import conicpoints.cli as cli_mod
-
-    def tampered(conic, **kwargs):
-        return FiniteSolutions((LatticePoint(0, -1), LatticePoint(5, 5)))
-
-    monkeypatch.setattr(cli_mod, "solve", tampered)
-    code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
-    assert code == 3
-    assert err.splitlines() == [
-        "error: solver and oracle disagree within box (bx=12, by=9)",
-        "only the solver found 1: (5,5)",
-        "only the oracle found 3: (-2,-1) (1,0) (1,2)",
-    ]
-
-
-def test_solve_check_mismatch_lists_are_capped(capsys, monkeypatch):
-    import conicpoints.cli as cli_mod
-
-    bogus = tuple(LatticePoint(x, 9) for x in range(-12, 13))
-    monkeypatch.setattr(cli_mod, "solve", lambda conic, **kwargs: FiniteSolutions(bogus))
-    code, _, err = run_cli(capsys, "solve", "--check", *GOLDEN_ARGS)
-    assert code == 3
-    assert err.splitlines()[1:] == [
-        "only the solver found 25: (-12,9) (-11,9) (-10,9) (-9,9) (-8,9) and 20 more",
-        "only the oracle found 4: (-2,-1) (0,-1) (1,0) (1,2)",
-    ]
-
-
-def test_oracle_row_budget_edge_slowest_finite_box(capsys):
-    """The slowest finite box ROW_BUDGET's comment names: epsilon = j = -M,
-    with M = SIEVE_M = 14757354782123793840 the product of the sieve
-    moduli, so disc(y) = y^2 + 4*M*y + 4*M is a square modulo every modulus
-    in every row and the sieve strikes none.  At 2^22 - 1 rows it answers
-    within a CPU ceiling, as does `1 3 2 0 0 -2882880`, whose disc
-    y^2 + 11531520 is a square modulo 16, 9, 5, 7, 11 and 13 in every row;
-    one more row is refused at once."""
-    for conic_args, points in (
-        (["1", "3", "2", "0", str(-SIEVE_M), str(-SIEVE_M)], 2),
-        (["1", "3", "2", "0", "0", "-2882880"], 666),
-    ):
-        start = time.process_time()
-        code, out, err = run_cli(capsys, "oracle", "--bound", "2097151", *conic_args)
-        elapsed = time.process_time() - start
-        assert (code, err) == (0, "")
-        assert len(out.splitlines()) == points
-        assert elapsed < 5
-    start = time.process_time()
-    code, out, err = run_cli(capsys, "oracle", "--bound", "2097152", *conic_args)
-    elapsed = time.process_time() - start
-    assert (code, out) == (5, "")
-    assert err == (
-        "error: search box (bx=2097152, by=2097152) has 4194305 rows, "
-        "over the oracle row budget of 4194304\n"
-    )
-    assert elapsed < 0.1
-
-
-
-def test_oracle_row_budget_edge_charged_by_word_size(capsys):
-    """E = -M*10^129, with M as above: disc's bound y^2 + 4|E|*y + 4|E|
-    passes POINT_WORD = 512 bits over the box, so each row is charged the
-    square of two words.  The widest box the charge admits, a quarter of the
-    rows of the budget, answers within the same CPU ceiling; one more row is
-    refused at once."""
-    e = str(-SIEVE_M * 10**129)
-    conic_args = ["1", "3", "2", "0", e, e]
-    start = time.process_time()
-    code, out, err = run_cli(capsys, "oracle", "--bound", "524287", *conic_args)
-    elapsed = time.process_time() - start
-    assert (code, out, err) == (0, "1 -1\n2 -1\n", "")
-    assert elapsed < 5
-    start = time.process_time()
-    code, out, err = run_cli(capsys, "oracle", "--bound", "524288", *conic_args)
-    elapsed = time.process_time() - start
-    assert (code, out) == (5, "")
-    assert err == (
-        "error: search box (bx=524288, by=524288) has 1048577 rows with "
-        "discriminants of up to 514 bits, 4194308 in squared 512-bit words, "
-        "over the oracle row budget of 4194304\n"
-    )
-    assert elapsed < 0.1
-
-def _tamper_first_line(monkeypatch, change):
-    """Make the CLI's solve apply ``change`` to the first line of a pair."""
-    import conicpoints.cli as cli_mod
-
-    def tampered(conic, **kwargs):
-        first, second = solve(conic, **kwargs).lines
-        return LinePair((change(first), second))
-
-    monkeypatch.setattr(cli_mod, "solve", tampered)
-
-
-def test_solve_check_detects_line_with_doubled_direction(capsys, monkeypatch):
-    # the x = y line of x^2 - y^2 = 0 stepping by (2, 2) skips every other point
-    _tamper_first_line(monkeypatch, lambda line: line._replace(direction=(2, 2)))
-    code, _, err = run_cli(
-        capsys, "solve", "--check", "--bound", "3", "1", "0", "-1", "0", "0", "0"
-    )
-    assert code == 3
-    assert err.splitlines() == [
-        "error: solver and oracle disagree within box (bx=3, by=3)",
-        "only the solver found 0",
-        "only the oracle found 4: (-3,-3) (-1,-1) (1,1) (3,3)",
-    ]
-
-
-def test_solve_check_detects_line_base_off_the_line(capsys, monkeypatch):
-    # base (1, 0) moves the x = y line to x = y + 1
-    _tamper_first_line(monkeypatch, lambda line: line._replace(base=LatticePoint(1, 0)))
-    code, _, err = run_cli(
-        capsys, "solve", "--check", "--bound", "3", "1", "0", "-1", "0", "0", "0"
-    )
-    assert code == 3
-    assert err.splitlines() == [
-        "error: solver and oracle disagree within box (bx=3, by=3)",
-        "only the solver found 6: (-2,-3) (-1,-2) (0,-1) (1,0) (2,1) and 1 more",
-        "only the oracle found 6: (-3,-3) (-2,-2) (-1,-1) (1,1) (2,2) and 1 more",
-    ]
-
-
-def test_solve_check_detects_line_point_missing_from_oracle(capsys, monkeypatch):
-    import conicpoints.cli as cli_mod
-
-    # the oracle's points, all but the last, are a prefix of the solver's
-    true_brute_force = cli_mod.brute_force
-    monkeypatch.setattr(cli_mod, "brute_force", lambda *args: true_brute_force(*args)[:-1])
-    for conic_args, last in ((["1", "0", "-1", "0", "0", "0"], "(3,3)"), (GOLDEN_ARGS, "(1,2)")):
-        code, _, err = run_cli(capsys, "solve", "--check", "--bound", "3", *conic_args)
-        assert code == 3
-        assert err.splitlines()[1:] == [f"only the solver found 1: {last}", "only the oracle found 0"]
-
-
-@pytest.mark.parametrize(
-    "conic_args", [GOLDEN_ARGS, ["1", "0", "-1", "0", "0", "0"]], ids=["finite", "lines"]
-)
-def test_solve_check_detects_oracle_point_missing_from_solver(capsys, monkeypatch, conic_args):
-    import conicpoints.cli as cli_mod
-
-    # the solver's in-box points are a strict prefix of the oracle's
-    true_brute_force = cli_mod.brute_force
-    monkeypatch.setattr(
-        cli_mod, "brute_force", lambda *args: true_brute_force(*args) + [LatticePoint(3, 4)]
-    )
-    code, _, err = run_cli(capsys, "solve", "--check", "--bound", "3", *conic_args)
-    assert code == 3
-    assert err.splitlines() == [
-        "error: solver and oracle disagree within box (bx=3, by=3)",
-        "only the solver found 0",
-        "only the oracle found 1: (3,4)",
-    ]
-
-
+# the head line of a report within the golden conic's derived box, and
+# within --bound 3
+_IN_GOLDEN_BOX = "error: solver and oracle disagree within box (bx=12, by=9)"
+_IN_BOX_3 = "error: solver and oracle disagree within box (bx=3, by=3)"
 _OTHER_ORDER = "the solver and the oracle found the same points in a different order"
 
 
-def _with_repeat(x, y):
+def _replaced(*points):
+    """A finite result of ``points`` in place of the true one."""
+    return lambda result: FiniteSolutions(points)
+
+
+def _points(change):
+    """``change`` made to the list of a finite result's points."""
+    return lambda result: FiniteSolutions(tuple(change(list(result.points))))
+
+
+def _first_line(**fields):
+    """``fields`` replaced in the first line of a line pair."""
+    return lambda result: LinePair((result.lines[0]._replace(**fields), result.lines[1]))
+
+
+def _repeat(x, y):
     return lambda points: sorted([*points, LatticePoint(x, y)])
 
 
+def _extra(points):
+    return points + [LatticePoint(3, 4)]
+
+
 @pytest.mark.parametrize(
-    "side, conic_args, change, last",
+    "patched, change, argv, expected",
     [
-        ("solver", GOLDEN_ARGS, _with_repeat(1, 0), "the solver repeated 1: (1,0)"),
-        ("solver", GOLDEN_ARGS, lambda points: points[::-1], _OTHER_ORDER),
-        ("oracle", LINES_ARGS, _with_repeat(0, 0), "the oracle repeated 1: (0,0)"),
-        ("oracle", LINES_ARGS, lambda points: points[::-1], _OTHER_ORDER),
+        pytest.param(
+            "solve", _replaced(LatticePoint(0, -1), LatticePoint(5, 5)), GOLDEN,
+            [
+                _IN_GOLDEN_BOX,
+                "only the solver found 1: (5,5)",
+                "only the oracle found 3: (-2,-1) (1,0) (1,2)",
+            ],
+            id="finite-wrong-point",
+        ),
+        pytest.param(
+            "solve", _replaced(*(LatticePoint(x, 9) for x in range(-12, 13))), GOLDEN,
+            [
+                _IN_GOLDEN_BOX,
+                "only the solver found 25: (-12,9) (-11,9) (-10,9) (-9,9) (-8,9) and 20 more",
+                "only the oracle found 4: (-2,-1) (0,-1) (1,0) (1,2)",
+            ],
+            id="finite-lists-capped",
+        ),
+        # the x = y line of x^2 - y^2 = 0 stepping by (2, 2) skips every other point
+        pytest.param(
+            "solve", _first_line(direction=(2, 2)), ["--bound", "3", *LINES],
+            [
+                _IN_BOX_3,
+                "only the solver found 0",
+                "only the oracle found 4: (-3,-3) (-1,-1) (1,1) (3,3)",
+            ],
+            id="lines-doubled-direction",
+        ),
+        # base (1, 0) moves the x = y line to x = y + 1
+        pytest.param(
+            "solve", _first_line(base=LatticePoint(1, 0)), ["--bound", "3", *LINES],
+            [
+                _IN_BOX_3,
+                "only the solver found 6: (-2,-3) (-1,-2) (0,-1) (1,0) (2,1) and 1 more",
+                "only the oracle found 6: (-3,-3) (-2,-2) (-1,-1) (1,1) (2,2) and 1 more",
+            ],
+            id="lines-base-off-the-line",
+        ),
+        # the oracle's points, all but the last, are a prefix of the solver's
+        pytest.param(
+            "brute_force", lambda points: points[:-1], ["--bound", "3", *LINES],
+            [_IN_BOX_3, "only the solver found 1: (3,3)", "only the oracle found 0"],
+            id="lines-oracle-missing-last",
+        ),
+        pytest.param(
+            "brute_force", lambda points: points[:-1], ["--bound", "3", *GOLDEN],
+            [_IN_BOX_3, "only the solver found 1: (1,2)", "only the oracle found 0"],
+            id="finite-oracle-missing-last",
+        ),
+        # the solver's in-box points are a strict prefix of the oracle's
+        pytest.param(
+            "brute_force", _extra, ["--bound", "3", *GOLDEN],
+            [_IN_BOX_3, "only the solver found 0", "only the oracle found 1: (3,4)"],
+            id="finite-oracle-extra",
+        ),
+        pytest.param(
+            "brute_force", _extra, ["--bound", "3", *LINES],
+            [_IN_BOX_3, "only the solver found 0", "only the oracle found 1: (3,4)"],
+            id="lines-oracle-extra",
+        ),
+        # the same set of points on both sides, so neither side found one the
+        # other did not; a line pair's in-box points leave the solver sorted
+        # and unique, so there the oracle's list is changed
+        pytest.param(
+            "solve", _points(_repeat(1, 0)), ["--bound", "3", *GOLDEN],
+            [
+                _IN_BOX_3,
+                "only the solver found 0",
+                "only the oracle found 0",
+                "the solver repeated 1: (1,0)",
+            ],
+            id="finite-repeated",
+        ),
+        pytest.param(
+            "solve", _points(lambda points: points[::-1]), ["--bound", "3", *GOLDEN],
+            [_IN_BOX_3, "only the solver found 0", "only the oracle found 0", _OTHER_ORDER],
+            id="finite-misordered",
+        ),
+        pytest.param(
+            "brute_force", _repeat(0, 0), ["--bound", "3", *LINES],
+            [
+                _IN_BOX_3,
+                "only the solver found 0",
+                "only the oracle found 0",
+                "the oracle repeated 1: (0,0)",
+            ],
+            id="lines-repeated",
+        ),
+        pytest.param(
+            "brute_force", lambda points: points[::-1], ["--bound", "3", *LINES],
+            [_IN_BOX_3, "only the solver found 0", "only the oracle found 0", _OTHER_ORDER],
+            id="lines-misordered",
+        ),
     ],
-    ids=["finite-repeated", "finite-misordered", "lines-repeated", "lines-misordered"],
 )
-def test_solve_check_names_a_repeated_point_or_another_order(
-    capsys, monkeypatch, side, conic_args, change, last
-):
-    # the same set of points on both sides, so neither side found one the
-    # other did not; a line pair's in-box points leave the solver sorted and
-    # unique, so there the oracle's list is changed
+def test_solve_check_reports_a_fault(capsys, monkeypatch, patched, change, argv, expected):
+    """`solve --check ARGV` exits 3 and reports the fault on stderr when the
+    CLI's ``patched`` (solve or the oracle's brute_force) returns ``change``
+    made to its true result."""
     import conicpoints.cli as cli_mod
 
-    if side == "solver":
-        def tampered(conic, **kwargs):
-            return FiniteSolutions(tuple(change(list(solve(conic, **kwargs).points))))
+    true = getattr(cli_mod, patched)
+    monkeypatch.setattr(cli_mod, patched, lambda *args, **kwargs: change(true(*args, **kwargs)))
+    code, _, err = run_cli(capsys, "solve", "--check", *argv)
+    assert (code, err.splitlines()) == (3, expected)
 
-        monkeypatch.setattr(cli_mod, "solve", tampered)
-    else:
-        true_brute_force = cli_mod.brute_force
-        monkeypatch.setattr(cli_mod, "brute_force", lambda *args: change(true_brute_force(*args)))
-    code, _, err = run_cli(capsys, "solve", "--check", "--bound", "3", *conic_args)
-    assert code == 3
-    assert err.splitlines() == [
-        "error: solver and oracle disagree within box (bx=3, by=3)",
-        "only the solver found 0",
-        "only the oracle found 0",
-        last,
-    ]
+
+_ROW_REFUSAL = (
+    "error: search box (bx=2097152, by=2097152) has 4194305 rows, "
+    "over the oracle row budget of 4194304\n"
+)
+
+
+@pytest.mark.parametrize(
+    "epsilon, j, edge, out, refusal",
+    [
+        pytest.param(-SIEVE_M, -SIEVE_M, 2097151, "1 -1\n2 -1\n", _ROW_REFUSAL, id="sieve-m"),
+        pytest.param(0, -2882880, 2097151, 666, _ROW_REFUSAL, id="666-points"),
+        pytest.param(
+            -SIEVE_M * 10**129,
+            -SIEVE_M * 10**129,
+            524287,
+            "1 -1\n2 -1\n",
+            "error: search box (bx=524288, by=524288) has 1048577 rows with "
+            "discriminants of up to 514 bits, 4194308 in squared 512-bit words, "
+            "over the oracle row budget of 4194304\n",
+            id="charged-by-word-size",
+        ),
+    ],
+)
+def test_oracle_row_budget_edges(capsys, epsilon, j, edge, out, refusal):
+    """On `1 3 2 0 EPSILON J` the widest box the row budget admits answers
+    within a CPU ceiling (``out`` is its stdout, or the number of its
+    lines), and one more row is refused at once.
+
+    The first two are the slowest finite boxes ROW_BUDGET's comment names.
+    At epsilon = j = -M, with M = SIEVE_M = 14757354782123793840 the
+    product of the sieve moduli, disc(y) = y^2 + 4*M*y + 4*M is a square
+    modulo every modulus in every row and the sieve strikes none; disc
+    y^2 + 11531520 of `1 3 2 0 0 -2882880` is a square modulo 16, 9, 5, 7,
+    11 and 13 in every row.  At E = -M*10^129 disc's bound
+    y^2 + 4|E|*y + 4|E| passes POINT_WORD = 512 bits over the box, so each
+    row is charged the square of two words, and the edge is a quarter of
+    the budget's rows."""
+    conic_args = ["1", "3", "2", "0", str(epsilon), str(j)]
+    start = time.process_time()
+    code, got, err = run_cli(capsys, "oracle", "--bound", str(edge), *conic_args)
+    elapsed = time.process_time() - start
+    assert (code, err) == (0, "")
+    assert (len(got.splitlines()) if isinstance(out, int) else got) == out
+    assert elapsed < 5
+    start = time.process_time()
+    code, got, err = run_cli(capsys, "oracle", "--bound", str(edge + 1), *conic_args)
+    elapsed = time.process_time() - start
+    assert (code, got, err) == (5, "", refusal)
+    assert elapsed < 0.1
 
 
 @pytest.mark.parametrize(
@@ -269,7 +259,7 @@ def test_solve_check_line_pair_memory_ceiling(capsys):
     # measured with their ints, about 240 bytes a point
     tracemalloc.start()
     try:
-        code, _, err = run_cli(capsys, "solve", "--check", "--bound", "2047", *LINES_ARGS)
+        code, _, err = run_cli(capsys, "solve", "--check", "--bound", "2047", *LINES)
         assert (code, err) == (0, "")
         assert tracemalloc.get_traced_memory()[1] < 2_500_000
     finally:
@@ -297,10 +287,10 @@ def test_main_restores_the_int_str_digit_limit(capsys):
         for collecting in (True, False):
             (gc.enable if collecting else gc.disable)()
             for argv, code in [
-                (["invariants", *GOLDEN_ARGS], 0),
+                (["invariants", *GOLDEN], 0),
                 (["solve", "1", "0", "1", "0", "0", "-1"], 1),
-                (["oracle", "--bound", "3000000", *GOLDEN_ARGS], 5),
-                (["invariants", "1.5", *GOLDEN_ARGS[1:]], 2),  # SystemExit
+                (["oracle", "--bound", "3000000", *GOLDEN], 5),
+                (["invariants", "1.5", *GOLDEN[1:]], 2),  # SystemExit
             ]:
                 assert run_cli(capsys, *argv)[0] == code
                 assert sys.get_int_max_str_digits() == 5000
@@ -337,9 +327,6 @@ def test_main_starts_no_collection(capsys):
 # ---------------------------------------------------------------------------
 # JSON bytes: every document is json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
-
-
 def assert_same_text(got: str, expected: str) -> None:
     """Fail at the first offset where got and expected differ: pytest's own
     diff of two large documents takes minutes."""
@@ -365,9 +352,9 @@ def point_strings(points) -> list[list[str]]:
 @pytest.mark.parametrize(
     "argv, keys, points",
     [
-        (["solve", *GOLDEN_ARGS], {"invariants", "kind", "points"}, GOLDEN_POINTS),
+        (["solve", *GOLDEN], {"invariants", "kind", "points"}, GOLDEN_POINTS),
         (["solve", "1", "0", "-1", "0", "0", "-2"], {"invariants", "kind", "points"}, []),
-        (["oracle", *GOLDEN_ARGS], {"invariants", "kind", "points"}, GOLDEN_POINTS),
+        (["oracle", *GOLDEN], {"invariants", "kind", "points"}, GOLDEN_POINTS),
         (
             ["theorem1", "3", "0", "1", "4"],
             {"conic", "invariants", "kind", "points"},
@@ -379,9 +366,9 @@ def point_strings(points) -> list[list[str]]:
             [(-7, -6), (-7, 6), (7, -6), (7, 6)],
         ),
         (["sumform", "1", "1", "-2"], {"invariants", "kind", "obstruction", "points"}, []),
-        (["solve", "1", "0", "-1", "0", "0", "0"], {"invariants", "kind", "lines"}, None),
+        (["solve", *LINES], {"invariants", "kind", "lines"}, None),
         (["solve", "9", "0", "-9", "9", "3", "2"], {"invariants", "kind", "lines"}, None),
-        (["invariants", *GOLDEN_ARGS], {"invariants"}, None),
+        (["invariants", *GOLDEN], {"invariants"}, None),
         (["solve", "0", "1", "1", "0", "0", "-1"], {"error", "kind"}, None),
     ],
 )
@@ -402,7 +389,7 @@ def test_json_error_message_escaped(capsys, monkeypatch):
         raise ConicError(message)
 
     monkeypatch.setattr(cli_mod, "solve", failing)
-    code, out, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN_ARGS)
+    code, out, _ = run_cli(capsys, "solve", "--format", "json", *GOLDEN)
     assert code == 1
     doc = assert_canonical_json(out)
     assert doc["error"] == {"code": "conic-error", "message": message}
@@ -438,7 +425,7 @@ def test_finite_json_is_json_dumps(name, extra):
     the whole document with the points as strings, the form the README
     promises."""
     points = _writer_point_sets()[name]
-    _, inv = validate(2, -5, 2, -1, 1, -1)
+    _, inv = validate(*GOLDEN_COEFFS)
     doc = {"kind": "finite", "invariants": _inv_block(inv), **extra}
     strings = {**doc, "points": [[str(x), str(y)] for x, y in points]}
     expected = json.dumps(strings, sort_keys=True, indent=2) + "\n"
@@ -452,7 +439,7 @@ def test_finite_json_is_json_dumps(name, extra):
 def test_divisor_cap_env(capsys, monkeypatch):
     # CONIC_DIVISOR_CAP is not read: the unreduced target 80 is enumerated
     monkeypatch.setenv("CONIC_DIVISOR_CAP", "10")
-    code, out, err = run_cli(capsys, "solve", "--no-reduce", *GOLDEN_ARGS)
+    code, out, err = run_cli(capsys, "solve", "--no-reduce", *GOLDEN)
     assert (code, out, err) == (0, "-2 -1\n0 -1\n1 0\n1 2\n", "")
 
 
@@ -460,13 +447,13 @@ def test_main_is_reentrant(capsys):
     # each call, made after the others in one process, prints exactly what
     # it prints alone in a fresh one: no state is left between calls
     calls = [
-        ["solve", *GOLDEN_ARGS],
+        ["solve", *GOLDEN],
         ["solve", "--check", "--format", "json", "1", "2"],  # parser.error
         ["sumform", "--format", "json", "1", "1", "-13"],
-        ["solve", "--check", *GOLDEN_ARGS],
-        ["invariants", *GOLDEN_ARGS],
-        ["solve", "--check", "1", "0", "-1", "0", "0", "0"],  # no --bound
-        ["oracle", "--bound", "3000000", *GOLDEN_ARGS],  # over the row budget
+        ["solve", "--check", *GOLDEN],
+        ["invariants", *GOLDEN],
+        ["solve", "--check", *LINES],  # no --bound
+        ["oracle", "--bound", "3000000", *GOLDEN],  # over the row budget
         ["solve", "--format", "json", "1", "0", "1", "0", "0", "1"],  # invalid
     ]
     in_process = [run_cli(capsys, *argv) for argv in calls]
@@ -497,9 +484,9 @@ def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
         ["solve", "-x", "1"],
         ["solve", "--", "1"],
         *([name, "--help"] for name in ("solve", "invariants", "oracle", "theorem1", "sumform")),
-        ["solve", "--bound", "0", "--check", *GOLDEN_ARGS],
-        ["invariants", "1.5", *GOLDEN_ARGS[1:]],
-        ["oracle", "--format", "xml", *GOLDEN_ARGS],
+        ["solve", "--bound", "0", "--check", *GOLDEN],
+        ["invariants", "1.5", *GOLDEN[1:]],
+        ["oracle", "--format", "xml", *GOLDEN],
         ["theorem1", "1", "2"],
         ["sumform", "1", "2", "x"],
         ["solve", "oracle", "-h"],
@@ -507,7 +494,7 @@ def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
         ["theorem1", "sumform", "--help"],
         ["oracle", "--he"],
         ["solve", "--bound", "3", "invariants"],
-        ["invariants", *GOLDEN_ARGS, "--check"],
+        ["invariants", *GOLDEN, "--check"],
         ["theorem1", "3", "0", "1", "4", "-x"],
     ]
     monkeypatch.setenv("COLUMNS", "80")

@@ -16,13 +16,11 @@ from conicpoints import (
     validate,
 )
 from conicpoints.conic import FactorForm, content_reduce, factor_forms
-
-# 2x^2 - 5xy + 2y^2 - x + y - 1 = 0, the worked example used throughout
-GOLDEN = (2, -5, 2, -1, 1, -1)
+from corpus.make import GOLDEN_COEFFS, LINES_COEFFS
 
 
 def test_validate_golden():
-    conic, inv = validate(*GOLDEN)
+    conic, inv = validate(*GOLDEN_COEFFS)
     assert inv.k == 3
     assert inv.big_i == 80
     assert inv.delta_q == 9
@@ -78,7 +76,7 @@ def test_not_factorable_past_the_int_str_digit_limit(default_int_str_limit):
 
 
 def test_evaluate():
-    conic, _ = validate(*GOLDEN)
+    conic, _ = validate(*GOLDEN_COEFFS)
     assert conic.evaluate(1, 0) == 0
     assert conic.evaluate(0, 0) == -1
     assert conic.evaluate(-2, -1) == 0
@@ -88,14 +86,14 @@ def test_evaluate():
 
 
 def test_factor_forms_golden():
-    conic, inv = validate(*GOLDEN)
+    conic, inv = validate(*GOLDEN_COEFFS)
     f1, f2 = factor_forms(conic, inv)
     assert (f1.cx, f1.cy, f1.c0) == (12, -24, -4)
     assert (f2.cx, f2.cy, f2.c0) == (12, -6, -2)
 
 
 def test_factor_forms_more():
-    conic, inv = validate(1, 0, -1, 0, 0, 0)
+    conic, inv = validate(*LINES_COEFFS)
     f1, f2 = factor_forms(conic, inv)
     assert (f1.cx, f1.cy, f1.c0) == (4, -4, 0)
     assert (f2.cx, f2.cy, f2.c0) == (4, 4, 0)
@@ -127,7 +125,7 @@ def test_invariants_roundtrip():
 
 
 def test_content_reduce_golden():
-    conic, inv = validate(*GOLDEN)
+    conic, inv = validate(*GOLDEN_COEFFS)
     f1, f2 = factor_forms(conic, inv)
     reduced = content_reduce(f1, f2, inv.big_i)
     assert reduced is not None

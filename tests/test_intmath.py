@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conicpoints import DivisorLimitExceeded, intmath
 from conicpoints.errors import _int_text
 from conicpoints.intmath import POINT_BUDGET, ceil_div, integer_sqrt, is_prime, positive_divisors
-from corpus.make import overcap_items
+from corpus.make import PSI13, overcap_items
 
 
 def test_integer_sqrt_basics():
@@ -176,17 +176,16 @@ def test_positive_divisors_hard_composites():
     assert not any(map(is_prime, (0, 1, -7)))
 
 
+# psi_12 = p*q, p < q, as bench/overcap.json's psi12 item factors it
+PSI12_P, PSI12_Q = sorted(overcap_items()["psi12"]["factors"])
+PSI12 = PSI12_P * PSI12_Q
+
+
 def test_positive_divisors_splits_psi12(factoring_units):
     # psi_12 passes Miller-Rabin to every base 2..37, base 41 shows it
     # composite, and ECM splits it once rho's ninth of the budget runs out.
-    psi12 = 318665857834031151167461
-    assert not is_prime(psi12)
-    assert positive_divisors(psi12) == [
-        1,
-        399165290221,
-        798330580441,
-        psi12,
-    ]
+    assert not is_prime(PSI12)
+    assert positive_divisors(PSI12) == [1, PSI12_P, PSI12_Q, PSI12]
     assert factoring_units == [440992]
 
 
@@ -195,13 +194,12 @@ def test_positive_divisors_splits_psi13(monkeypatch, factoring_units):
     # probable prime and proven at once, before rho searches it;
     # Pocklington's test shows it composite (base 43 fails Fermat), and only
     # then do rho and ECM split it
-    psi13 = 3317044064679887385961981
-    assert is_prime(psi13)
+    assert is_prime(PSI13)
     rho_split, proven = intmath._rho_split, intmath._proven
     composite = []
 
     def rho_after_the_proof(n, meter, floor):
-        assert n != psi13 or psi13 in composite
+        assert n != PSI13 or PSI13 in composite
         return rho_split(n, meter, floor)
 
     def recording(n, meter):
@@ -213,9 +211,9 @@ def test_positive_divisors_splits_psi13(monkeypatch, factoring_units):
     monkeypatch.setattr(intmath, "_rho_split", rho_after_the_proof)
     monkeypatch.setattr(intmath, "_proven", recording)
     start = time.process_time()
-    assert positive_divisors(psi13) == [1, 1287836182261, 2575672364521, psi13]
+    assert positive_divisors(PSI13) == [1, 1287836182261, 2575672364521, PSI13]
     assert time.process_time() - start < 2
-    assert composite == [psi13]
+    assert composite == [PSI13]
     assert factoring_units == [1025230]
 
 
@@ -223,7 +221,6 @@ def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
     # the root test reads psi_13^2 as psi_13 counted twice, a probable
     # prime; the proof shows it composite once, rho or ECM splits it once,
     # and each of its pieces is counted twice
-    psi13 = 3317044064679887385961981
     proven, rho_split, ecm_split = intmath._proven, intmath._rho_split, intmath._ecm_split
     outcomes, splits = [], []
 
@@ -245,27 +242,26 @@ def test_factorize_splits_a_repeated_shown_composite_once(monkeypatch):
     monkeypatch.setattr(intmath, "_rho_split", recording(rho_split))
     monkeypatch.setattr(intmath, "_ecm_split", recording(ecm_split))
     meter = intmath._Meter(intmath._BUDGET)
-    assert intmath._factorize(psi13**2, meter) == {1287836182261: 2, 2575672364521: 2}
-    assert outcomes == [(psi13, False)]
+    assert intmath._factorize(PSI13**2, meter) == {1287836182261: 2, 2575672364521: 2}
+    assert outcomes == [(PSI13, False)]
     # (the proof splits cofactors of psi_13 - 1 too)
-    assert splits.count(psi13) == 1
+    assert splits.count(PSI13) == 1
 
 
 def test_positive_divisors_names_a_composite_it_does_not_split(monkeypatch):
     # a probable prime the proof shows composite is refused as composite
     # when rho and ECM do not split it, not as a prime not proven
-    psi13 = 3317044064679887385961981
     for name in ("_rho_split", "_ecm_split"):
         split = getattr(intmath, name)
         monkeypatch.setattr(
             intmath,
             name,
-            lambda m, *args, split=split: None if m == psi13 else split(m, *args),
+            lambda m, *args, split=split: None if m == PSI13 else split(m, *args),
         )
     with pytest.raises(
-        DivisorLimitExceeded, match=f"cofactor {psi13} of {psi13} is composite, not split within"
+        DivisorLimitExceeded, match=f"cofactor {PSI13} of {PSI13} is composite, not split within"
     ):
-        positive_divisors(psi13)
+        positive_divisors(PSI13)
 
 
 # The probable primes at or above psi_13 in the reduced targets of the
@@ -338,7 +334,7 @@ def test_pocklington_shows_composite_by_a_proper_gcd():
 def test_pocklington_splits_a_shown_composite_of_f(factoring_units):
     # n - 1 = 2^4 * 3 * psi_13, and 48^2 < n, so F must include psi_13's
     # primes: the proof of n proves psi_13 composite and then splits it
-    n = 48 * 3317044064679887385961981 + 1
+    n = 48 * PSI13 + 1
     assert n == 159218115104634594526175089
     start = time.process_time()
     assert positive_divisors(n) == [1, n]
@@ -409,7 +405,7 @@ class _CountingModulus(int):
     "n, budget, factor",
     [
         # split by rho in the round of 2^17 steps
-        (318665857834031151167461, 1 << 20, 399165290221),
+        (PSI12, 1 << 20, PSI12_P),
         # rho's share on the first cofactor runs out
         (39072923041 * 89193927323, 1 << 19, None),
         # a batch overshoots and is replayed one gcd at a time

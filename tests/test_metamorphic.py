@@ -16,7 +16,6 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_solver import _planted_target_conic
 
 from conicpoints import (
     ConicError,
@@ -29,10 +28,10 @@ from conicpoints import (
     validate,
 )
 from conicpoints.conic import factor_forms
+from corpus.make import GOLDEN_COEFFS, GOLDEN_POINTS
+from test_solver import _planted_target_conic
 
 FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "j")
-GOLDEN = (2, -5, 2, -1, 1, -1)
-GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
 
 
 def coeffs_of(conic):
@@ -201,7 +200,7 @@ def test_large_translation_and_shear(seed, u, v, t):
 
 def test_golden_conic_with_41_digit_coefficients():
     phi = translation(10**20, -3 * 10**19)
-    moved = image(image(GOLDEN, phi), shear_x(10**15))
+    moved = image(image(GOLDEN_COEFFS, phi), shear_x(10**15))
     assert max(len(str(abs(c))) for c in moved) == 41
     assert invariants_of(validate(*moved)[0]).big_i == 80
     expected = sorted(apply(shear_x(10**15), apply(phi, p)) for p in GOLDEN_POINTS)

@@ -24,22 +24,21 @@ from conicpoints import (
 from conicpoints.intmath import integer_sqrt
 from conicpoints.oracle import _BLOCK, _JOIN, _MODULI, _SQUARES, ROW_BUDGET, _sieve
 from conicpoints.solver import solve_finite
-
-GOLDEN = (2, -5, 2, -1, 1, -1)
+from corpus.make import GOLDEN_COEFFS, GOLDEN_POINTS, LINES_COEFFS
 
 
 def test_solution_bound_golden():
-    conic, inv = validate(*GOLDEN)
+    conic, inv = validate(*GOLDEN_COEFFS)
     bound = solution_bound(conic, inv)
     # by = ceil((2*80 + 2*1) / 18) = 9; bx = ceil(828 / 72) = 12
     assert bound.by == 9
     assert bound.bx == 12
-    for x, y in [(-2, -1), (0, -1), (1, 0), (1, 2)]:
+    for x, y in GOLDEN_POINTS:
         assert abs(x) <= bound.bx and abs(y) <= bound.by
 
 
 def test_solution_bound_rejects_degenerate():
-    conic, inv = validate(1, 0, -1, 0, 0, 0)
+    conic, inv = validate(*LINES_COEFFS)
     with pytest.raises(ValueError, match="degenerate"):
         solution_bound(conic, inv)
 
@@ -57,7 +56,7 @@ def test_solution_bound_contains_all_solutions():
 
 
 def test_brute_force_golden():
-    conic, _ = validate(*GOLDEN)
+    conic, _ = validate(*GOLDEN_COEFFS)
     assert brute_force(conic, SearchBound(10, 10)) == [
         (-2, -1),
         (0, -1),
@@ -230,7 +229,7 @@ def _line_at(a, b, x0, y0):
 def test_brute_force_matches_naive_on_line_pairs():
     conics = [random_valid_conic(seed) for seed in range(300)]
     pairs = [c for c in conics if invariants_of(c).big_i == 0]
-    pairs += [validate(*c)[0] for c in ((1, 0, -1, 0, 0, 0), (3, 3, -6, -4, 1, 1), (-2, 3, -1, 1, -2, 3))]
+    pairs += [validate(*c)[0] for c in (LINES_COEFFS, (3, 3, -6, -4, 1, 1), (-2, 3, -1, 1, -2, 3))]
     # two lines through (x0, y0): the crossing row y0, where the two roots
     # coincide, is inside some boxes below and outside others
     rng = random.Random("crossing rows")
@@ -252,7 +251,7 @@ def test_brute_force_matches_naive_on_line_pairs():
         for bound in bounds:
             inside = abs(crossing.x) <= bound.bx and abs(crossing.y) <= bound.by
             assert (crossing in brute_force(conic, bound)) == inside
-    assert len(_assert_same(validate(1, 0, -1, 0, 0, 0)[0], SearchBound(5, 5))) == 21
+    assert len(_assert_same(validate(*LINES_COEFFS)[0], SearchBound(5, 5))) == 21
     # x + y = 200 leaves the box |x| <= 50 in every row |y| <= 50, x = 2y
     # stays in it; a wider box cuts both lines
     conic = _lines_through((1, 1, -200), (1, -2, 0))
@@ -288,10 +287,10 @@ def test_brute_force_reads_line_pairs_without_square_classes(monkeypatch):
         raise AssertionError("square classes on a line pair")
 
     monkeypatch.setattr(oracle, "_sieve", refused)
-    conic, _ = validate(1, 0, -1, 0, 0, 0)
+    conic, _ = validate(*LINES_COEFFS)
     assert len(brute_force(conic, SearchBound(3, 3))) == 13
     with pytest.raises(AssertionError, match="square classes"):
-        brute_force(validate(*GOLDEN)[0], SearchBound(10, 10))
+        brute_force(validate(*GOLDEN_COEFFS)[0], SearchBound(10, 10))
 
 
 def test_brute_force_matches_naive_with_by_zero():

@@ -28,11 +28,9 @@ from conicpoints import intmath, solver
 from conicpoints.conic import content_reduce, factor_forms
 from conicpoints.intmath import is_prime, positive_divisors
 from conicpoints.solver import solve_degenerate, solve_finite, solve_linear_diophantine
-from corpus.make import overcap_items
-from test_intmath import PROVABLE_PRIMES, SMALL_PRIMES_TO_61, _from_factors
+from corpus.make import GOLDEN_COEFFS, GOLDEN_POINTS, LINES_COEFFS, overcap_items
+from test_intmath import NEAR_CAP, PROVABLE_PRIMES, SMALL_PRIMES_TO_61, _from_factors
 
-GOLDEN = (2, -5, 2, -1, 1, -1)
-GOLDEN_POINTS = [(-2, -1), (0, -1), (1, 0), (1, 2)]
 OVERCAP = overcap_items()
 
 
@@ -49,19 +47,19 @@ def test_solve_finite_empty():
 
 
 def test_solve_finite_rejects_degenerate():
-    conic, inv = validate(1, 0, -1, 0, 0, 0)
+    conic, inv = validate(*LINES_COEFFS)
     with pytest.raises(ValueError, match="degenerate"):
         solve_finite(conic, inv)
 
 
 def test_solve_dispatch():
-    conic, _ = validate(*GOLDEN)
+    conic, _ = validate(*GOLDEN_COEFFS)
     result = solve(conic)
     assert isinstance(result, FiniteSolutions)
     assert list(result.points) == GOLDEN_POINTS
     assert result.obstruction is None
     assert solve(validate(1, 0, -1, 0, 0, -2)[0]) == FiniteSolutions(())
-    lines = solve(validate(1, 0, -1, 0, 0, 0)[0])
+    lines = solve(validate(*LINES_COEFFS)[0])
     assert isinstance(lines, LinePair)
     assert all(line.solvable for line in lines.lines)
 
@@ -176,7 +174,7 @@ def test_linear_diophantine_canonical_base_at_size(a, b, c):
 # degenerate conics (big_i = 0)
 
 def test_solve_degenerate_both_solvable():
-    conic, inv = validate(1, 0, -1, 0, 0, 0)
+    conic, inv = validate(*LINES_COEFFS)
     assert inv.big_i == 0
     line1, line2 = solve_degenerate(conic, inv)
     assert (line1.a, line1.b, line1.c) == (4, -4, 0)
@@ -212,13 +210,13 @@ def test_solve_degenerate_both_unsolvable():
 
 
 def test_solve_degenerate_rejects_finite():
-    conic, inv = validate(*GOLDEN)
+    conic, inv = validate(*GOLDEN_COEFFS)
     with pytest.raises(ValueError, match="finite"):
         solve_degenerate(conic, inv)
 
 
 def test_degenerate_line_points_satisfy_conic():
-    for coeffs in [(1, 0, -1, 0, 0, 0), (3, 3, -6, -4, 1, 1), (4, 0, -1, 2, 1, 0)]:
+    for coeffs in [LINES_COEFFS, (3, 3, -6, -4, 1, 1), (4, 0, -1, 2, 1, 0)]:
         conic, inv = validate(*coeffs)
         assert inv.big_i == 0
         for line in solve_degenerate(conic, inv):
@@ -311,7 +309,7 @@ def test_square_difference_delegates_composites():
 
 
 def test_square_difference_psi12():
-    p, q = 399165290221, 798330580441
+    p, q = OVERCAP["psi12"]["factors"]
     psi12 = p * q
     # x - y = s, x + y = psi12/s over the eight signed divisors s
     expected = sorted(
@@ -348,13 +346,9 @@ def _planted_target_conic(rng, target):
     return validate(1, beta, (beta * beta - 1) // 4, delta, epsilon, j)
 
 
-PLANTED_FACTORS = [
-    {70000000000009: 1},
-    {8366609: 1, 8367641: 1},
-    {2: 46},
-    {2: 6, 3: 4, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1},  # tau = 6720
-    {2: 3000},  # 6,002 points of 6 words each, with 905-digit coefficients
-]
+# the factorizations up to 10^14, then 2^3000: 6,002 points of 6 words
+# each, with 905-digit coefficients
+PLANTED_FACTORS = [*NEAR_CAP, {2: 3000}]
 
 
 @pytest.mark.parametrize("factors", PLANTED_FACTORS)
