@@ -378,7 +378,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact integral points on conics whose quadratic part "
         "splits into two rational lines.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(prog=parser.prog, dest="command", required=True, metavar="command")
     for name, (help_text, handler, arguments) in _COMMANDS.items():
         if command is None or command == name:
             p = sub.add_parser(name, help=help_text)

@@ -324,6 +324,24 @@ def test_main_starts_no_collection(capsys):
     )
 
 
+def test_main_formats_no_usage_it_does_not_print(capsys, monkeypatch):
+    """The subparsers get the root's program name, so argparse formats no
+    usage text to derive it; a call formats usage only when it prints it."""
+    formatted = []
+    format_help = argparse.HelpFormatter.format_help
+
+    def counted(self):
+        formatted.append(self)
+        return format_help(self)
+
+    monkeypatch.setattr(argparse.HelpFormatter, "format_help", counted)
+    assert run_cli(capsys, "solve", "--format", "json", *GOLDEN)[0] == 0
+    assert formatted == []
+    code, out, err = run_cli(capsys, "solve", "--bound", "3", *GOLDEN)
+    assert (code, out) == (2, "") and err.endswith("error: --bound needs --check\n")
+    assert formatted
+
+
 # ---------------------------------------------------------------------------
 # JSON bytes: every document is json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -510,13 +528,21 @@ def test_named_arguments_parser_matches_the_full_one(capsys, monkeypatch):
 def test_only_the_named_subparser_is_registered():
     # argparse reads only the subparser named first, so build_parser(name)
     # registers only name, with the arguments build_parser() gives it;
-    # build_parser() registers all five, each with -h
+    # build_parser() registers all five, each with -h and the program name
+    # argparse would derive itself
     def actions(parser):
         (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return {name: [a.dest for a in p._actions] for name, p in subparsers.choices.items()}
+        return {
+            name: (p.prog, [a.dest for a in p._actions])
+            for name, p in subparsers.choices.items()
+        }
 
     full = actions(build_parser())
     assert list(full) == ["solve", "invariants", "oracle", "theorem1", "sumform"]
-    assert all(dests[0] == "help" and "format" in dests for dests in full.values())
+    assert all(dests[0] == "help" and "format" in dests for _, dests in full.values())
+    derived = argparse.ArgumentParser(prog="conicpoints").add_subparsers()
+    assert {name: prog for name, (prog, _) in full.items()} == {
+        name: derived.add_parser(name).prog for name in full
+    }
     for name in full:
         assert actions(build_parser(name)) == {name: full[name]}
